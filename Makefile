@@ -98,20 +98,19 @@ else
 check: vet lint-deprecated test race cover fuzz reopt-check
 endif
 
-# Measure the join execution modes (tuple / serial batch / columnar /
-# parallel join phase at several worker counts) plus the batch-size
-# sweep, and write BENCH_join.json.
+# Measure the join execution modes (tuple path, batched tier with lane
+# gather and with row drain) plus the batch-size sweep, and write
+# BENCH_join.json.
 bench-join:
 	$(GO) run ./cmd/qpi-bench -json
 
-# Just the two single-threaded span-at-a-time modes (batch, columnar)
-# plus the batch-size sweep — the quick columnar-vs-batch comparison,
-# printed without rewriting BENCH_join.json.
+# Just the serial columnar mode plus the batch-size sweep, printed
+# without rewriting BENCH_join.json.
 bench-columnar:
-	$(GO) run ./cmd/qpi-bench -json -json-file /dev/null -modes batch,columnar
+	$(GO) run ./cmd/qpi-bench -json -json-file /dev/null -modes columnar
 
-# The SF-scaled worker matrix: serial vs morsel-driven scans at SF 0.1
-# and 1, worker sweep {1,2,4,NumCPU}. Generated tables are cached under
+# The SF-scaled worker matrix: serial vs morsel-driven lane-native
+# passes at SF 0.1 and 1, worker sweep {1,2,4,NumCPU}. Generated tables are cached under
 # testdata/benchcache/ (gitignored) so re-runs skip the ~minute of SF 1
 # generation. Rewrites BENCH_join.json including the sf_matrix section.
 bench-matrix:

@@ -56,7 +56,7 @@ func (q *Query) Start(ctx context.Context, opts ...RunOption) (*Running, error) 
 	go func() {
 		defer close(r.done)
 		defer cancel() // release the derived context's resources
-		rows, err := execRun(ctx, q)
+		rows, err := execRun(ctx, q, nil)
 		r.mu.Lock()
 		r.rows, r.err = rows, err
 		r.mu.Unlock()

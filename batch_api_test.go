@@ -6,10 +6,12 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+
+	"qpi/internal/exec"
 )
 
-// raiseProcsAPI lifts GOMAXPROCS so the parallel scatter path runs
-// multi-worker even on single-CPU machines.
+// raiseProcsAPI lifts GOMAXPROCS so the compile-time worker cap leaves
+// the morsel passes multi-worker even on single-CPU machines.
 func raiseProcsAPI(t *testing.T, n int) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(0)
@@ -114,7 +116,8 @@ func TestWithBatchExecutionUnderMemoryBudget(t *testing.T) {
 }
 
 // TestNodeParallel exercises the per-fragment builder knob: the joins run
-// their partition passes batched while the plan is pulled tuple-at-a-time.
+// the batched tier and the plan root is driven through NextColBatch,
+// exactly as under WithBatchExecution.
 func TestNodeParallel(t *testing.T) {
 	raiseProcsAPI(t, 4)
 	e := testEngine(t)
@@ -165,4 +168,98 @@ func TestSQLQueryBatched(t *testing.T) {
 			t.Fatalf("group %d differs: %s vs %s", i, a[i], b[i])
 		}
 	}
+}
+
+// TestRowsRunsSameEngineAsRun: Rows and Run share one root driver, so a
+// batched GROUP BY over a skewed join leaves the same row count, the same
+// Σ K_i (Metrics().Tuples) and the same batch count either way — Rows
+// must not fall back to pulling the join and the aggregation one tuple at
+// a time.
+func TestRowsRunsSameEngineAsRun(t *testing.T) {
+	raiseProcsAPI(t, 2)
+	const sqlText = "SELECT r.k, COUNT(*) AS c FROM r JOIN s ON r.k = s.k GROUP BY r.k"
+	mk := func() *Engine {
+		e := New()
+		e.MustCreateSkewedTable("r", 20000, 1, SkewedColumn{Name: "k", Domain: 5000, Zipf: 0.5})
+		e.MustCreateSkewedTable("s", 20000, 2, SkewedColumn{Name: "k", Domain: 5000, Zipf: 0.5})
+		return e
+	}
+	run := mk().MustQuery(sqlText, WithBatchExecution(2))
+	n, err := run.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsQ := mk().MustQuery(sqlText, WithBatchExecution(2))
+	rows, err := rowsQ.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mk().MustQuery(sqlText).Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(rows)) != n || len(rows) != len(want) {
+		t.Fatalf("Run returned %d rows, Rows %d, tuple path %d", n, len(rows), len(want))
+	}
+	a, b := sortedRows(want), sortedRows(rows)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("row %d differs from the tuple path: %s vs %s", i, b[i], a[i])
+		}
+	}
+	rm, qm := run.Metrics(), rowsQ.Metrics()
+	if rm.Tuples != qm.Tuples {
+		t.Errorf("Σ K_i: Run %d, Rows %d", rm.Tuples, qm.Tuples)
+	}
+	if rm.Batches != qm.Batches || rm.Batches == 0 {
+		t.Errorf("batches: Run %d, Rows %d (want equal and non-zero)", rm.Batches, qm.Batches)
+	}
+}
+
+// TestBatchWorkersCappedAtCompile: a worker count from outside input
+// (WithBatchExecution, Node.Parallel, the service's batch_workers) is
+// capped at GOMAXPROCS when the plan compiles, so no join sizes its scan
+// workers from the request, and the capped plan still answers exactly.
+func TestBatchWorkersCappedAtCompile(t *testing.T) {
+	const sqlText = "SELECT r.k, COUNT(*) AS c FROM r JOIN s ON r.k = s.k GROUP BY r.k"
+	procs := runtime.GOMAXPROCS(0)
+	checkCapped := func(label string, q *Query) {
+		t.Helper()
+		joins := 0
+		exec.Walk(q.root, func(op exec.Operator) {
+			if j, ok := op.(*exec.HashJoin); ok {
+				joins++
+				if !j.Batched() || j.Workers() > procs || j.Parallelism() > procs {
+					t.Errorf("%s: join %s batched=%v workers=%d parallelism=%d, GOMAXPROCS %d",
+						label, j.Name(), j.Batched(), j.Workers(), j.Parallelism(), procs)
+				}
+			}
+		})
+		if joins == 0 {
+			t.Fatalf("%s: plan has no hash join", label)
+		}
+	}
+	want, err := testEngine(t).MustQuery(sqlText).Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := testEngine(t).MustQuery(sqlText, WithBatchExecution(1<<16))
+	checkCapped("WithBatchExecution", q)
+	got, err := q.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := sortedRows(want), sortedRows(got)
+	if len(a) != len(b) {
+		t.Fatalf("%d groups vs %d", len(b), len(a))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("group %d differs: %s vs %s", i, b[i], a[i])
+		}
+	}
+
+	e := testEngine(t)
+	j := HashJoin(e.MustScan("r"), e.MustScan("s"), Col("r", "k"), Col("s", "k")).Parallel(1 << 16)
+	checkCapped("Node.Parallel", e.MustCompile(j))
 }

@@ -115,49 +115,25 @@ func BenchmarkJoinBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkHashJoinThroughput compares the execution modes of the grace
-// hash join on the same orders ⋈ lineitem workload as BenchmarkJoinBaseline:
-// the seed tuple-at-a-time path, the batched serial path (1 worker), and
-// the batched path with parallel scatter workers. tuples/sec counts every
-// tuple moved (build + probe inputs and join output).
+// BenchmarkHashJoinThroughput reports the tuple-at-a-time grace hash
+// join on the BenchmarkJoinBaseline workload as tuples/sec, counting
+// every tuple moved (build + probe inputs and join output). The batched
+// tier is measured by cmd/qpi-bench (columnar, colpart) and by
+// BenchmarkColumnarJoin in internal/exec.
 func BenchmarkHashJoinThroughput(b *testing.B) {
-	modes := []struct {
-		name    string
-		workers int
-	}{
-		{"tuple", 0},
-		{"batch", 1},
-		{"batch-parallel", 4},
+	b.ReportAllocs()
+	var tuples int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		j, _ := buildJoin(b, false)
+		b.StartTimer()
+		n, err := exec.Run(j)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tuples += n + j.BuildRows() + j.ProbeRows()
 	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			// Workers are GOMAXPROCS-capped: on a single-CPU machine the
-			// batch-parallel mode degrades gracefully to the serial batched
-			// pass instead of paying goroutine overhead for no parallelism.
-			b.ReportAllocs()
-			var tuples int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				j, _ := buildJoin(b, false)
-				if m.workers > 0 {
-					j.SetParallelism(m.workers)
-				}
-				b.StartTimer()
-				var n int64
-				var err error
-				if m.workers > 0 {
-					n, err = exec.RunBatch(j)
-				} else {
-					n, err = exec.Run(j)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				tuples += n + j.BuildRows() + j.ProbeRows()
-			}
-			b.ReportMetric(float64(tuples)/b.Elapsed().Seconds(), "tuples/sec")
-		})
-	}
+	b.ReportMetric(float64(tuples)/b.Elapsed().Seconds(), "tuples/sec")
 }
 
 // BenchmarkJoinWithEstimation measures the same join with the framework

@@ -187,11 +187,12 @@ func (n *Node) Limit(k int64) *Node {
 	return &Node{op: exec.NewLimit(n.op, k), eng: n.eng}
 }
 
-// Parallel enables batch-at-a-time partition passes with the given number
-// of scatter workers (GOMAXPROCS-capped) on every hash join in the node's
-// subtree — the per-plan-fragment form of the WithBatchExecution compile
-// option. It returns the node for chaining. Call before Compile so the
-// estimators attach in sharded mode.
+// Parallel puts every hash join in the node's subtree on the batched
+// tier with the given number of workers — the per-plan-fragment form of
+// the WithBatchExecution compile option, with the same lane-native
+// passes, GOMAXPROCS cap (applied at Compile) and root driver. It
+// returns the node for chaining. Call before Compile so the estimators
+// attach in sharded mode.
 func (n *Node) Parallel(workers int) *Node {
 	exec.Walk(n.op, func(op exec.Operator) {
 		if j, ok := op.(*exec.HashJoin); ok {

@@ -45,7 +45,7 @@ func main() {
 		tol      = flag.Float64("tolerance", 0.15, "allowed fractional regression in -guard mode (ns/op and allocs/op)")
 		maxprocs = flag.Int("gomaxprocs", 0, "GOMAXPROCS for the benchmark (0 = runtime default, i.e. NumCPU)")
 		sweep    = flag.String("batchsize", "256,1024,4096", "comma-separated batch sizes swept in -json mode (recorded under batch_sweep; empty disables)")
-		modes    = flag.String("modes", "", "comma-separated mode filter for -json (e.g. batch,columnar; empty = all)")
+		modes    = flag.String("modes", "", "comma-separated mode filter for -json (e.g. tuple,columnar; empty = all)")
 		matrix   = flag.Bool("matrix", false, "with -json: also measure the SF-scaled worker matrix (SF 0.1/1, cached under testdata/benchcache/); with -guard: validate the recorded matrix cells too")
 	)
 	flag.Parse()
@@ -201,45 +201,25 @@ type joinBenchReport struct {
 
 // benchMode identifies one execution mode of the measured sweep.
 type benchMode struct {
-	name     string
-	workers  int
-	columnar bool
-	morsel   bool
-	// rowdrain drains a columnar join through the row-at-a-time Next
+	name string
+	// workers is the HashJoin.SetParallelism k: 0 is the tuple path,
+	// ≥ 1 the batched tier (morsel-driven passes from 2 on).
+	workers int
+	// rowdrain drains a batched join through the row-at-a-time Next
 	// (the colpart mode): partitions stay lane-native, output rows are
-	// materialized one at a time — the difftest crossing, measured so
-	// its cost is pinned.
+	// materialized one at a time — measured so its cost is pinned.
 	rowdrain bool
 }
 
-// benchModes is the measured sweep: the tuple, serial-batch and columnar
-// references plus the partition-parallel join phase at worker counts
-// {2, 4, NumCPU} (deduplicated, ascending). Worker counts above
-// GOMAXPROCS still parallelize the join phase (goroutines time-slice);
-// the recorded gomaxprocs field says what hardware parallelism backed
-// each number.
+// benchModes is the measured sweep: the tuple path, the batched tier's
+// serial vectorized passes with the lane gather (columnar) and with the
+// row drain (colpart).
 func benchModes() []benchMode {
-	modes := []benchMode{
+	return []benchMode{
 		{name: "tuple"},
-		{name: "batch", workers: 1},
-		{name: "columnar", columnar: true},
-		{name: "colpart", columnar: true, rowdrain: true},
+		{name: "columnar", workers: 1},
+		{name: "colpart", workers: 1, rowdrain: true},
 	}
-	seen := map[int]bool{}
-	for _, w := range []int{2, 4, runtime.NumCPU()} {
-		if w < 2 || seen[w] {
-			continue
-		}
-		seen[w] = true
-		modes = append(modes, benchMode{name: fmt.Sprintf("parallel-w%d", w), workers: w})
-	}
-	// Morsel-driven scans: the partition passes themselves fan out (the
-	// parallel-w modes above parallelize only the join phase's partition
-	// work plus the single-reader scatter).
-	for _, w := range []int{2, 4} {
-		modes = append(modes, benchMode{name: fmt.Sprintf("morsel-w%d", w), workers: w, morsel: true})
-	}
-	return modes
 }
 
 // writeJoinBench measures the grace hash join's execution modes on the
@@ -294,9 +274,9 @@ func writeJoinBench(path, sweep, modes string, matrix bool) error {
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
-// runBatchSweep re-measures the two single-threaded span-at-a-time modes
-// (batch, columnar) at each requested batch size, restoring the default
-// afterwards. The sweep justifies data.DefaultBatchSize empirically.
+// runBatchSweep re-measures the serial columnar mode at each requested
+// batch size, restoring the default afterwards. The sweep justifies
+// data.DefaultBatchSize empirically.
 func runBatchSweep(sweep string, runs int) ([]sweepResult, error) {
 	if sweep == "" {
 		return nil, nil
@@ -309,7 +289,7 @@ func runBatchSweep(sweep string, runs int) ([]sweepResult, error) {
 			return nil, fmt.Errorf("bad -batchsize entry %q", field)
 		}
 		data.SetBatchSize(size)
-		for _, m := range []benchMode{{name: "batch", workers: 1}, {name: "columnar", columnar: true}} {
+		for _, m := range []benchMode{{name: "columnar", workers: 1}} {
 			best, err := bestJoinRun(m, runs)
 			if err != nil {
 				return nil, err
@@ -493,7 +473,7 @@ func guardJoinBench(path string, tol float64, matrix bool) error {
 			fmt.Printf("%-14s skipped (not in current sweep)\n", b.Mode)
 			continue
 		}
-		if err := refuseUnderCored(m.name, m.workers, m.morsel || m.workers > 1); err != nil {
+		if err := refuseUnderCored(m.name, m.workers, m.workers > 1); err != nil {
 			fmt.Println(err)
 			continue
 		}
@@ -536,7 +516,7 @@ func guardJoinBench(path string, tol float64, matrix bool) error {
 	return nil
 }
 
-// refuseUnderCored returns a loud refusal when a parallel or morsel mode
+// refuseUnderCored returns a loud refusal when a parallel (morsel) mode
 // would be "validated" with fewer scheduler cores than workers: at
 // GOMAXPROCS < workers the workers time-slice one core, so the measured
 // figure says nothing about the mode's parallel throughput — comparing
@@ -597,15 +577,7 @@ func runJoinOn(orders, lineitem *storage.Table, cat *catalog.Catalog, m benchMod
 		plan.EstimateCardinalities(j, cat)
 	}
 	workers := m.workers
-	if workers > 0 {
-		j.SetParallelism(workers)
-	}
-	if m.columnar {
-		j.SetColumnar(true)
-	}
-	if m.morsel {
-		j.SetMorsel(true)
-	}
+	j.SetParallelism(workers)
 	var err error
 	var partitionDone time.Time
 	j.OnProbeEnd = func() { partitionDone = time.Now() }
@@ -614,14 +586,9 @@ func runJoinOn(orders, lineitem *storage.Table, cat *catalog.Catalog, m benchMod
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 	var n int64
-	switch {
-	case m.columnar && m.rowdrain:
-		n, err = exec.Run(j)
-	case m.columnar:
+	if workers > 0 && !m.rowdrain {
 		n, err = exec.RunCol(j)
-	case workers > 0:
-		n, err = exec.RunBatch(j)
-	default:
+	} else {
 		n, err = exec.Run(j)
 	}
 	elapsed := time.Since(start)
@@ -656,13 +623,13 @@ func runJoinOn(orders, lineitem *storage.Table, cat *catalog.Catalog, m benchMod
 }
 
 // matrixMode maps a matrix worker count to its execution mode: the
-// 1-worker cell is the serial span-at-a-time reference; every wider cell
+// 1-worker cell is the serial vectorized reference; every wider cell
 // runs the morsel-driven scans.
 func matrixMode(workers int) benchMode {
 	if workers <= 1 {
-		return benchMode{name: "batch-w1", workers: 1}
+		return benchMode{name: "columnar-w1", workers: 1}
 	}
-	return benchMode{name: fmt.Sprintf("morsel-w%d", workers), workers: workers, morsel: true}
+	return benchMode{name: fmt.Sprintf("colmorsel-w%d", workers), workers: workers}
 }
 
 // bestMatrixRun measures one (scale factor, worker count) cell best-of-n

@@ -167,38 +167,19 @@ func (a *Attachment) attachHashChain(top *exec.HashJoin) {
 }
 
 // hashLinkHooks fills a ChainLink's hook setters for one hash join,
-// including the batched setters when the join runs batched partition
-// passes (the estimator shards only if every link of the chain does).
+// including the worker-indexed span setters when the join runs the
+// batched tier (the estimator shards only if every link of the chain
+// does).
 func hashLinkHooks(l *ChainLink, j *exec.HashJoin) {
 	l.SetBuildHook = func(f func(data.Tuple)) {
 		j.OnBuildTuple = compose(j.OnBuildTuple, f)
-	}
-	if j.Columnar() {
-		l.Columnar = true
-		l.SetBuildColHook = func(f func(cb *data.ColBatch)) {
-			j.OnBuildCol = composeCol(j.OnBuildCol, f)
-		}
-		if j.Morseled() {
-			// Morsel-driven columnar passes deliver ColBatches from
-			// concurrent scan workers: offer the worker-indexed setters so
-			// the estimator can shard (it does only if the whole chain is
-			// morselized; a serial fallback pass fires them as worker 0).
-			l.Workers = j.Workers()
-			l.SetBuildColBatchHook = func(f func(worker int, cb *data.ColBatch)) {
-				j.OnBuildColBatch = composeColW(j.OnBuildColBatch, f)
-			}
-			l.SetBuildEndHook = func(f func()) {
-				j.OnBuildEnd = compose0(j.OnBuildEnd, f)
-			}
-		}
-		return
 	}
 	if !j.Batched() {
 		return
 	}
 	l.Workers = j.Workers()
-	l.SetBuildBatchHook = func(f func(worker int, b data.Batch)) {
-		j.OnBuildBatch = composeBatch(j.OnBuildBatch, f)
+	l.SetBuildColBatchHook = func(f func(worker int, cb *data.ColBatch)) {
+		j.OnBuildColBatch = composeColW(j.OnBuildColBatch, f)
 	}
 	l.SetBuildEndHook = func(f func()) {
 		j.OnBuildEnd = compose0(j.OnBuildEnd, f)
@@ -206,22 +187,12 @@ func hashLinkHooks(l *ChainLink, j *exec.HashJoin) {
 }
 
 // wireHashProbe feeds the bottom probe stream to the estimator: sharded
-// batch observation when the whole chain is batched, per-tuple hooks
-// otherwise (per-tuple hooks fire on the reader goroutine even under a
-// batched pass, so a mixed chain stays correct, just unsharded).
+// span observation when the whole chain is batched, per-tuple hooks
+// otherwise (the batched passes fire per-tuple hooks too, so a partly
+// batched chain stays correct, just unsharded).
 func wireHashProbe(pe *PipelineEstimator, bottom *exec.HashJoin) {
-	if bottom.Columnar() && pe.ColShardAttached() {
+	if pe.ColShardAttached() {
 		bottom.OnProbeColBatch = composeColW(bottom.OnProbeColBatch, pe.ObserveProbeColShard)
-		bottom.OnProbeEnd = compose0(bottom.OnProbeEnd, pe.FinishProbe)
-		return
-	}
-	if bottom.Columnar() && pe.ColAttached() {
-		bottom.OnProbeCol = composeCol(bottom.OnProbeCol, pe.ObserveProbeCol)
-		bottom.OnProbeEnd = compose0(bottom.OnProbeEnd, pe.MarkConverged)
-		return
-	}
-	if pe.BatchAttached() {
-		bottom.OnProbeBatch = composeBatch(bottom.OnProbeBatch, pe.ObserveProbeBatch)
 		bottom.OnProbeEnd = compose0(bottom.OnProbeEnd, pe.FinishProbe)
 		return
 	}
@@ -440,7 +411,7 @@ func (a *Attachment) attachAgg(agg exec.Operator, input exec.Operator, groupBy [
 					pe.OnProbeObserved = compose1(pe.OnProbeObserved, func(int64) {
 						est.pushdownTick()
 					})
-					if pe.BatchAttached() || pe.ColShardAttached() {
+					if pe.ColShardAttached() {
 						// Sharded probe observation publishes only at the
 						// pass barrier; publish the final aggregation
 						// estimate there too.
@@ -524,34 +495,6 @@ func compose0(prev, next func()) func() {
 	return func() {
 		prev()
 		next()
-	}
-}
-
-// composeBatch chains two worker-batch hooks.
-func composeBatch(prev, next func(int, data.Batch)) func(int, data.Batch) {
-	if prev == nil {
-		return next
-	}
-	if next == nil {
-		return prev
-	}
-	return func(w int, b data.Batch) {
-		prev(w, b)
-		next(w, b)
-	}
-}
-
-// composeCol chains two ColBatch hooks.
-func composeCol(prev, next func(*data.ColBatch)) func(*data.ColBatch) {
-	if prev == nil {
-		return next
-	}
-	if next == nil {
-		return prev
-	}
-	return func(cb *data.ColBatch) {
-		prev(cb)
-		next(cb)
 	}
 }
 

@@ -5,31 +5,50 @@ import (
 	"qpi/internal/exec"
 )
 
-// This file is the sharded columnar attachment mode of the pipeline
-// estimator, backing the executor's morsel-driven columnar partition
-// passes: the intersection of the batched (sharded) mode of shard.go and
-// the span-at-a-time columnar mode of colhooks.go. Under a morselized
-// columnar pass K scan workers deliver ColBatches concurrently, so the
-// estimator gives every worker a private shard — per-relation frequency-
-// histogram shards for the build passes, probeShard moment shards for the
-// bottom probe pass — and walks the flat key lanes inside the shard.
-// Shards merge single-threaded at the pass barriers (the build-end hook,
-// FinishProbe on probe end), exactly as in the batched row mode.
+// This file is the batched-tier attachment mode of the pipeline
+// estimator, backing the executor's lane-native partition passes
+// (HashJoin.SetParallelism(k ≥ 1)). The passes deliver whole ColBatches
+// through worker-indexed span hooks — from K concurrent scan workers
+// under a morsel pass, as worker 0 on the serial vectorized scatter, the
+// one-shard case — so the estimator gives every worker a private shard:
+// per-relation frequency-histogram shards for the build passes,
+// probeShard moment shards for the bottom probe pass, filled straight
+// off the flat key lanes. Shards merge single-threaded at the pass
+// barriers (the build-end hook, FinishProbe on probe end), which the
+// executor fires on the coordinator after its workers have joined.
 //
-// The bit-identical-to-serial argument is the union of the two parent
-// modes': every histogram mutation is an integer AddN into a private
-// FreqHistogram shard, merged in fixed worker order (counts commute);
-// probe moment deltas are integer-valued float64 sums accumulated per
-// shard and folded at the barrier (exact below 2^53, order-independent);
-// build weights and probe deltas read only histograms frozen at earlier
-// barriers. Estimates publish only at barriers, on the coordinator.
+// Correctness of lock-free shard updates rests on the chain's execution
+// order: relation R_0 is built first, then R_1, ..., R_{m-1}, then the
+// bottom stream C is observed. A build-pass worker for relation j folds
+// in histogram counts only of relations f.join < j — all fully built and
+// merged at earlier barriers — and a probe-pass worker reads only the
+// finished build histograms. Every mutation goes to worker-private state.
+//
+// The result is bit-identical to the tuple path's per-tuple hooks: every
+// histogram mutation is an integer AddN into a private FreqHistogram
+// shard, merged in fixed worker order (counts commute); probe moment
+// deltas are integer-valued float64 sums accumulated per shard and folded
+// at the barrier (exact below 2^53, order-independent). The §4.1.1
+// convergence guarantee is preserved: after the probe-end merge the
+// estimator has observed exactly the multiset of tuples the tuple path
+// observes, so MarkConverged publishes the same exact cardinalities.
+// Estimates publish only at barriers, on the coordinator — Stats writes
+// never happen on workers.
+
+// probeShard is one worker's private share of the probe-pass moments.
+type probeShard struct {
+	t       int64
+	sums    []float64
+	sumSqs  []float64
+	outDist *FreqHistogram
+}
 
 // ColShardAttached reports whether the estimator observes its chain
 // through worker-indexed columnar span hooks.
 func (p *PipelineEstimator) ColShardAttached() bool { return p.colShardInstalled }
 
 // installColShardHooks wires the sharded span-at-a-time build observers
-// for a morselized columnar chain. Per relation j, each of the pass's
+// for a batched chain. Per relation j, each of the pass's
 // workers gets one FreqHistogram shard per distinct update target; the
 // dominant single-integer-key, fold-free case observes the flat int64
 // key lane straight into the worker's shard, and the barrier hook merges
@@ -40,9 +59,9 @@ func (p *PipelineEstimator) installColShardHooks() {
 		j := j
 		updates := p.updateTargets(j)
 		buildKeys := p.links[j].BuildKeys
-		// Unlike the serial columnar fast path, shard targets are always
-		// FreqHistograms regardless of the shared histogram implementation,
-		// so lane observation only needs a single key and no folds.
+		// Shard targets are always FreqHistograms regardless of the shared
+		// histogram implementation, so lane observation only needs a
+		// single key and no folds.
 		laneFast := len(buildKeys) == 1 && len(p.folds[j]) == 0
 		keyCol := buildKeys[0]
 		shards := make([][]*FreqHistogram, p.links[j].Workers)
@@ -101,9 +120,9 @@ func (p *PipelineEstimator) installColShardHooks() {
 }
 
 // ObserveProbeColShard processes one bottom-stream ColBatch on behalf of
-// worker w — the sharded form of ObserveProbeCol, invoked lock-free by
-// the owning scan worker of a morselized probe pass. No estimate is
-// published until FinishProbe merges the shards at the pass barrier.
+// worker w — the batched form of ObserveProbe, invoked lock-free by the
+// worker that owns the batch. No estimate is published until
+// FinishProbe merges the shards at the pass barrier.
 func (p *PipelineEstimator) ObserveProbeColShard(w int, cb *data.ColBatch) {
 	sh := &p.probeShards[w]
 	if p.observeProbeColShardFast(sh, cb) {
@@ -121,14 +140,14 @@ func (p *PipelineEstimator) ObserveProbeColShard(w int, cb *data.ColBatch) {
 	}
 }
 
-// observeProbeColShardFast is the vectorizable probe case of the sharded
-// columnar mode: a single inner join whose probe key is one homogeneous
-// integer column and no output-distribution accumulation. Each live row
-// performs t++, one CountInt lookup (0 for NULL keys) and the moment
-// accumulation into the worker's shard — the same arithmetic the serial
-// fast path performs, minus the publish check (sharded mode publishes at
-// the barrier). OnProbeObserved does not bail the fast path: as in the
-// batched row mode it fires once from FinishProbe with the merged count.
+// observeProbeColShardFast is the vectorizable probe case: a single
+// inner join whose probe key is one homogeneous integer column and no
+// output-distribution accumulation. Each live row performs t++, one
+// CountInt lookup (0 for NULL keys, matching Count over a NULL join key)
+// and the moment accumulation into the worker's shard — the arithmetic
+// of ObserveProbe minus the publish check (sharded observation publishes
+// at the barrier). OnProbeObserved does not bail the fast path: it fires
+// once from FinishProbe with the merged count.
 func (p *PipelineEstimator) observeProbeColShardFast(sh *probeShard, cb *data.ColBatch) bool {
 	if p.m != 1 || p.outDistHist != nil || p.links[0].Mult != nil {
 		return false
@@ -164,4 +183,50 @@ func (p *PipelineEstimator) observeProbeColShardFast(sh *probeShard, cb *data.Co
 		}
 	}
 	return true
+}
+
+// observeProbeShard accumulates one bottom-stream tuple into a worker's
+// probe shard: the shard-local body of ObserveProbe.
+func (p *PipelineEstimator) observeProbeShard(sh *probeShard, c data.Tuple) {
+	sh.t++
+	for k := 0; k < p.m; k++ {
+		delta := p.probeDelta(c, k)
+		sh.sums[k] += delta
+		sh.sumSqs[k] += delta * delta
+		if k == 0 && p.outDistHist != nil {
+			if sh.outDist == nil {
+				sh.outDist = NewFreqHistogram()
+			}
+			sh.outDist.AddN(c[p.outDistCol], int64(delta))
+		}
+	}
+}
+
+// FinishProbe merges the per-worker probe shards and freezes the
+// estimator — the batched tier's MarkConverged, composed onto the bottom
+// join's OnProbeEnd. It runs on the execution goroutine after the pass
+// barrier.
+func (p *PipelineEstimator) FinishProbe() {
+	for i := range p.probeShards {
+		sh := &p.probeShards[i]
+		p.t += sh.t
+		for k := 0; k < p.m; k++ {
+			p.sums[k] += sh.sums[k]
+			p.sumSqs[k] += sh.sumSqs[k]
+		}
+		if sh.outDist != nil && p.outDistHist != nil {
+			sh.outDist.Each(func(v data.Value, n int64) bool {
+				p.outDistHist.AddN(v, n)
+				return true
+			})
+		}
+	}
+	p.probeShards = nil
+	if p.OnProbeObserved != nil {
+		p.OnProbeObserved(p.t)
+	}
+	p.MarkConverged()
+	for _, f := range p.afterConverge {
+		f()
+	}
 }

@@ -11,35 +11,30 @@ import (
 	"qpi/internal/storage"
 )
 
-// Tests for the sharded columnar estimator attachment backing the
-// morsel-driven columnar partition passes. The headline contract is
-// stronger than convergence: because every histogram mutation is an
-// integer AddN into a worker shard merged in fixed order, and every probe
-// moment delta is an integer-valued float64 (exact below 2^53), the
-// converged estimator state must be BIT-IDENTICAL to the serial columnar
-// run — asserted here with ==, not a tolerance.
+// Tests for the batched-tier estimator attachment under morsel-driven
+// partition passes. The headline contract is stronger than convergence:
+// because every histogram mutation is an integer AddN into a worker
+// shard merged in fixed order, and every probe moment delta is an
+// integer-valued float64 (exact below 2^53), the converged estimator
+// state must be BIT-IDENTICAL across the tuple path's per-tuple hooks
+// and the batched tier at any worker count — asserted here with ==, not
+// a tolerance.
 
-// morselizeCol marks every hash join in the plan columnar + morselized
-// with k workers and single-block morsels. Must run before Attach.
+// morselizeCol puts every hash join in the plan on the batched tier with
+// k workers and single-block morsels. Must run before Attach.
 func morselizeCol(op exec.Operator, k int) {
 	if j, ok := op.(*exec.HashJoin); ok {
-		j.SetParallelism(k)
-		j.SetColumnar(true)
-		j.SetMorsel(true).SetMorselBlocks(1)
+		j.SetParallelism(k).SetMorselBlocks(1)
 	}
 	for _, c := range op.Children() {
 		morselizeCol(c, k)
 	}
 }
 
-// columnarize marks every hash join columnar (serial passes).
+// columnarize puts every hash join on the batched tier with one worker
+// (serial vectorized scatter).
 func columnarize(op exec.Operator) {
-	if j, ok := op.(*exec.HashJoin); ok {
-		j.SetColumnar(true)
-	}
-	for _, c := range op.Children() {
-		columnarize(c)
-	}
+	parallelize(op, 1)
 }
 
 // drainColPlan drains a columnar plan and returns the row count.
@@ -78,7 +73,7 @@ func TestColShardChainsExactOnPaperShapes(t *testing.T) {
 				t.Fatal("no chain estimator attached")
 			}
 			if !pe.ColShardAttached() {
-				t.Fatal("morselized columnar chain did not attach sharded")
+				t.Fatal("morselized chain did not attach sharded")
 			}
 			drainColPlan(t, top)
 			if !pe.Converged() {
@@ -98,10 +93,10 @@ func TestColShardChainsExactOnPaperShapes(t *testing.T) {
 }
 
 // TestColShardBitIdenticalToSerialColumnar: the converged estimates of
-// the sharded columnar run must equal the serial columnar run's exactly
-// (==): integer histogram counts commute, and the probe moment sums
-// accumulate integer-valued deltas, so no accumulation order can perturb
-// a bit.
+// the morselized runs and of the tuple path must equal the one-worker
+// batched run's exactly (==): integer histogram counts commute, and the
+// probe moment sums accumulate integer-valued deltas, so no
+// accumulation order can perturb a bit.
 func TestColShardBitIdenticalToSerialColumnar(t *testing.T) {
 	shapes := []func() *exec.HashJoin{
 		func() *exec.HashJoin { return fig3Plan(50) },
@@ -111,17 +106,17 @@ func TestColShardBitIdenticalToSerialColumnar(t *testing.T) {
 		func() *exec.HashJoin { return strKeyPlan(54) },
 	}
 	for si, mk := range shapes {
-		run := func(morsel bool, workers int) (est, lo, hi []float64, probes, rows int64) {
+		// workers 0 is the tuple path with per-tuple hooks; 1 the serial
+		// vectorized scatter; ≥ 2 morselized with single-block morsels.
+		run := func(workers int) (est, lo, hi []float64, probes, rows int64) {
 			top := mk()
-			if morsel {
+			if workers > 0 {
 				morselizeCol(top, workers)
-			} else {
-				columnarize(top)
 			}
 			att := Attach(top)
 			pe := att.ChainOf[top]
-			if pe.ColShardAttached() != morsel {
-				t.Fatalf("shape %d: ColShardAttached = %v, want %v", si, pe.ColShardAttached(), morsel)
+			if pe.ColShardAttached() != (workers > 0) {
+				t.Fatalf("shape %d workers %d: ColShardAttached = %v", si, workers, pe.ColShardAttached())
 			}
 			pe.OnProbeObserved = func(n int64) { probes = n }
 			rows = drainColPlan(t, top)
@@ -132,21 +127,21 @@ func TestColShardBitIdenticalToSerialColumnar(t *testing.T) {
 			}
 			return
 		}
-		serialEst, serialLo, serialHi, serialProbes, serialRows := run(false, 0)
-		for _, workers := range []int{2, 4} {
-			est, lo, hi, probes, rows := run(true, workers)
-			if rows != serialRows || probes != serialProbes {
-				t.Errorf("shape %d workers %d: rows/probes %d/%d vs serial %d/%d",
-					si, workers, rows, probes, serialRows, serialProbes)
+		refEst, refLo, refHi, refProbes, refRows := run(1)
+		for _, workers := range []int{0, 2, 3, 4} {
+			est, lo, hi, probes, rows := run(workers)
+			if rows != refRows || probes != refProbes {
+				t.Errorf("shape %d workers %d: rows/probes %d/%d vs k=1 %d/%d",
+					si, workers, rows, probes, refRows, refProbes)
 			}
 			for k := range est {
-				if est[k] != serialEst[k] {
-					t.Errorf("shape %d workers %d level %d: estimate %v != serial %v (must be bit-identical)",
-						si, workers, k, est[k], serialEst[k])
+				if est[k] != refEst[k] {
+					t.Errorf("shape %d workers %d level %d: estimate %v != k=1 %v (must be bit-identical)",
+						si, workers, k, est[k], refEst[k])
 				}
-				if lo[k] != serialLo[k] || hi[k] != serialHi[k] {
-					t.Errorf("shape %d workers %d level %d: CI [%v,%v] != serial [%v,%v]",
-						si, workers, k, lo[k], hi[k], serialLo[k], serialHi[k])
+				if lo[k] != refLo[k] || hi[k] != refHi[k] {
+					t.Errorf("shape %d workers %d level %d: CI [%v,%v] != k=1 [%v,%v]",
+						si, workers, k, lo[k], hi[k], refLo[k], refHi[k])
 				}
 			}
 		}
@@ -166,8 +161,8 @@ func strKeyTable(name string, keys []int64) *storage.Table {
 
 // strKeyPlan is the fig3 binary shape with string join keys: the
 // lane-native morsel scatter must take its generic (non-int-lane) path
-// and the merged shards must still land bit-identical to the serial
-// columnar run.
+// and the merged shards must still land bit-identical to the one-worker
+// run.
 func strKeyPlan(seed int64) *exec.HashJoin {
 	rng := rand.New(rand.NewSource(seed))
 	a := strKeyTable("a", randCol(rng, 300, 20))
@@ -175,22 +170,19 @@ func strKeyPlan(seed int64) *exec.HashJoin {
 	return exec.NewHashJoinOn(exec.NewScan(a, ""), exec.NewScan(b, ""), "a", "k", "b", "k")
 }
 
-// TestColShardMixedChainFallsBackToSerialColHooks: morselizing only part
-// of a columnar chain must keep the serial span hooks (which morselized
-// passes then fire under the pass mutex) and stay exact.
-func TestColShardMixedChainFallsBackToSerialColHooks(t *testing.T) {
+// TestColShardMixedWorkerCountsExact: a batched chain whose joins run
+// different worker counts — the top join's serial scatter, the lower
+// join's morselized passes — still attaches sharded (each link sized to
+// its own workers) and stays exact.
+func TestColShardMixedWorkerCountsExact(t *testing.T) {
 	top := fig5Plan(60)
 	columnarize(top)
 	lower := top.Probe().(*exec.HashJoin)
-	lower.SetParallelism(3)
-	lower.SetMorsel(true).SetMorselBlocks(1)
+	lower.SetParallelism(3).SetMorselBlocks(1)
 	att := Attach(top)
 	pe := att.ChainOf[top]
-	if pe.ColShardAttached() {
-		t.Fatal("partially morselized chain attached sharded")
-	}
-	if !pe.ColAttached() {
-		t.Fatal("columnar chain did not attach span hooks")
+	if !pe.ColShardAttached() {
+		t.Fatal("batched chain with mixed worker counts did not attach sharded")
 	}
 	drainColPlan(t, top)
 	if !pe.Converged() {
@@ -204,7 +196,7 @@ func TestColShardMixedChainFallsBackToSerialColHooks(t *testing.T) {
 	}
 }
 
-// TestColShardAggPushdownExact: GROUP BY over a morselized columnar chain
+// TestColShardAggPushdownExact: GROUP BY over a morselized batched chain
 // publishes the exact push-down estimate at the probe barrier.
 func TestColShardAggPushdownExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
@@ -220,9 +212,9 @@ func TestColShardAggPushdownExact(t *testing.T) {
 		t.Fatal("expected pushdown estimator")
 	}
 	if !att.ChainOf[j].ColShardAttached() {
-		t.Fatal("chain should attach col-sharded")
+		t.Fatal("chain should attach sharded")
 	}
-	rows, err := exec.RunBatch(exec.AsBatch(agg))
+	rows, err := exec.RunCol(agg)
 	if err != nil {
 		t.Fatal(err)
 	}

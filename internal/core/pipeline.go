@@ -57,34 +57,19 @@ type ChainLink struct {
 	// SetBuildHook installs f to run for every build-input tuple during
 	// the join's preprocessing pass.
 	SetBuildHook func(f func(data.Tuple))
-	// SetBuildBatchHook installs f to run once per build-input batch
-	// during a batched preprocessing pass, on the scatter worker that owns
-	// the batch. Nil when the physical operator has no batched pass.
-	SetBuildBatchHook func(f func(worker int, b data.Batch))
 	// SetBuildEndHook installs the build-pass barrier callback (fires on
-	// the reader goroutine after all batch hooks of the pass completed).
+	// the coordinator after all span hooks of the pass completed).
 	SetBuildEndHook func(f func())
-	// Workers is the number of scatter workers the batched pass uses
-	// (0 when the pass is tuple-at-a-time). When every link of a chain is
-	// batched, the estimator shards its histograms per worker instead of
-	// installing per-tuple hooks.
+	// Workers is the number of workers the batched partition pass uses
+	// (0 when the pass is tuple-at-a-time).
 	Workers int
-	// SetBuildColHook installs f to run once per build-input ColBatch
-	// during a columnar preprocessing pass (serial, at batch boundaries).
-	// Nil when the physical operator has no columnar pass.
-	SetBuildColHook func(f func(cb *data.ColBatch))
-	// SetBuildColBatchHook installs f to run once per build-input ColBatch
-	// during a morselized columnar pass, on the scan worker that owns the
-	// batch. Nil when the columnar pass is serial; when every link of a
-	// columnar chain provides it (plus SetBuildEndHook and Workers), the
-	// estimator shards per worker instead of observing serially (see
-	// colshard.go).
+	// SetBuildColBatchHook installs f to run once per build-input
+	// ColBatch during a batched partition pass, on the worker that owns
+	// the batch. Nil when the physical operator runs tuple-at-a-time;
+	// when every link of a chain provides it (plus SetBuildEndHook and
+	// Workers), the estimator shards per worker instead of installing
+	// per-tuple hooks (see colshard.go).
 	SetBuildColBatchHook func(f func(worker int, cb *data.ColBatch))
-	// Columnar reports that the physical operator runs the columnar
-	// partition passes. When every link of a chain is columnar, the
-	// estimator observes spans at batch boundaries (see colhooks.go)
-	// instead of installing per-tuple hooks.
-	Columnar bool
 	// Mult transforms the matched build count N into the number of output
 	// tuples per probe tuple (§4.1.1's note on semijoins and outerjoins):
 	// nil means the inner-join identity; semi joins use 1 if N>0, anti
@@ -162,24 +147,16 @@ type PipelineEstimator struct {
 	outDistCol  int
 	outDistHist *FreqHistogram
 
-	// Batched (sharded) attachment state — see shard.go. batchInstalled
-	// reports that build observation runs through per-worker histogram
-	// shards and probe observation through ObserveProbeBatch/FinishProbe;
+	// Batched-tier attachment state — see colshard.go.
+	// colShardInstalled reports that build observation runs through
+	// worker-indexed ColBatch hooks into per-worker histogram shards and
+	// probe observation through ObserveProbeColShard/FinishProbe;
 	// afterConverge hooks fire after the probe-end merge has frozen the
 	// estimator (aggregation push-down publishes its final estimate
 	// there).
-	batchInstalled bool
-	probeShards    []probeShard
-	afterConverge  []func()
-
-	// Columnar attachment state — see colhooks.go. colInstalled reports
-	// that build observation runs through span-at-a-time ColBatch hooks
-	// and probe observation through ObserveProbeCol. colShardInstalled
-	// (see colshard.go) is the sharded variant backing morselized columnar
-	// passes: worker-indexed ColBatch hooks into per-worker shards, probe
-	// observation through ObserveProbeColShard/FinishProbe.
-	colInstalled      bool
 	colShardInstalled bool
+	probeShards       []probeShard
+	afterConverge     []func()
 
 	// Observability (see internal/obs): the tracer receives one
 	// EstimateRefined event per level at every publish boundary plus
@@ -397,24 +374,13 @@ func (p *PipelineEstimator) buildWeight(tu data.Tuple, j, level int) int64 {
 	return w
 }
 
-// installHooks attaches the build-pass observers: per-tuple hooks in the
-// default mode, per-worker sharded batch hooks (see shard.go) when every
-// link runs a batched preprocessing pass, span-at-a-time columnar hooks
-// (colhooks.go) when every link is columnar — sharded per worker
-// (colshard.go) when the columnar passes are morselized. The sharded
-// columnar check runs first: a morselized chain also satisfies
-// chainColumnar, and the serial hooks would race under concurrent scans.
+// installHooks attaches the build-pass observers: per-worker sharded
+// span hooks (colshard.go) when every link runs a batched partition
+// pass, per-tuple hooks otherwise — a partly batched chain stays exact
+// on per-tuple hooks, which the batched passes fire too.
 func (p *PipelineEstimator) installHooks() {
 	if p.chainColSharded() {
 		p.installColShardHooks()
-		return
-	}
-	if p.chainColumnar() {
-		p.installColHooks()
-		return
-	}
-	if p.chainBatched() {
-		p.installBatchHooks()
 		return
 	}
 	for j := 0; j < p.m; j++ {
@@ -430,34 +396,12 @@ func (p *PipelineEstimator) installHooks() {
 	}
 }
 
-// chainColumnar reports whether every link of the chain runs a columnar
-// preprocessing pass (and therefore supports span observation).
-func (p *PipelineEstimator) chainColumnar() bool {
-	for _, l := range p.links {
-		if !l.Columnar || l.SetBuildColHook == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// chainColSharded reports whether every link of the chain runs a
-// morselized columnar preprocessing pass (and therefore needs — and
-// supports — worker-sharded span observation).
+// chainColSharded reports whether every link of the chain runs a batched
+// partition pass (and therefore supports worker-sharded span
+// observation).
 func (p *PipelineEstimator) chainColSharded() bool {
 	for _, l := range p.links {
-		if !l.Columnar || l.Workers < 1 || l.SetBuildColBatchHook == nil || l.SetBuildEndHook == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// chainBatched reports whether every link of the chain runs a batched
-// preprocessing pass (and therefore supports sharded observation).
-func (p *PipelineEstimator) chainBatched() bool {
-	for _, l := range p.links {
-		if l.Workers < 1 || l.SetBuildBatchHook == nil || l.SetBuildEndHook == nil {
+		if l.Workers < 1 || l.SetBuildColBatchHook == nil || l.SetBuildEndHook == nil {
 			return false
 		}
 	}

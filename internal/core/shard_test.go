@@ -3,28 +3,17 @@ package core
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"qpi/internal/exec"
 )
 
-// Tests for the sharded (batched) estimator attachment: every chain shape
-// the paper's §4.1.4 evaluation exercises (Figure 3's binary joins, Figure
+// Tests for the batched-tier estimator attachment: every chain shape the
+// paper's §4.1.4 evaluation exercises (Figure 3's binary joins, Figure
 // 5's same-attribute chains, Figure 6's Case 1/Case 2 different-attribute
 // chains) must converge to the same exact cardinalities whether the joins
-// run tuple-at-a-time, batched serial (1 worker), or batched parallel.
-
-// raiseProcs lifts GOMAXPROCS so HashJoin.Workers() does not collapse the
-// parallel scatter to one worker on single-CPU machines.
-func raiseProcs(t *testing.T, n int) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(0)
-	if prev < n {
-		runtime.GOMAXPROCS(n)
-		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	}
-}
+// run tuple-at-a-time or on the lane-native batched tier with one worker
+// (serial vectorized scatter) or several (morsel-driven scans).
 
 // chainJoins collects a probe-linked hash-join chain top-down.
 func chainJoins(top *exec.HashJoin) []*exec.HashJoin {
@@ -42,7 +31,7 @@ func chainJoins(top *exec.HashJoin) []*exec.HashJoin {
 }
 
 // runBatchedChainAndCompare attaches the estimator to an already
-// parallelized chain, runs it through the batch path, and checks the
+// parallelized chain, runs it through the columnar path, and checks the
 // converged estimates are exact at every level — the same contract
 // runChainAndCompare enforces for the serial mode.
 func runBatchedChainAndCompare(t *testing.T, top *exec.HashJoin, wantSharded bool) {
@@ -52,10 +41,10 @@ func runBatchedChainAndCompare(t *testing.T, top *exec.HashJoin, wantSharded boo
 	if pe == nil {
 		t.Fatal("no chain estimator attached")
 	}
-	if pe.BatchAttached() != wantSharded {
-		t.Fatalf("BatchAttached = %v, want %v", pe.BatchAttached(), wantSharded)
+	if pe.ColShardAttached() != wantSharded {
+		t.Fatalf("ColShardAttached = %v, want %v", pe.ColShardAttached(), wantSharded)
 	}
-	if _, err := exec.RunBatch(exec.AsBatch(top)); err != nil {
+	if _, err := exec.RunCol(top); err != nil {
 		t.Fatal(err)
 	}
 	if !pe.Converged() {
@@ -75,7 +64,8 @@ func runBatchedChainAndCompare(t *testing.T, top *exec.HashJoin, wantSharded boo
 	}
 }
 
-// parallelize marks every hash join in the plan batched with k workers.
+// parallelize puts every hash join in the plan on the batched tier with
+// k workers.
 // It must run before Attach so the estimator sees the batched chain.
 func parallelize(op exec.Operator, k int) {
 	if j, ok := op.(*exec.HashJoin); ok {
@@ -130,7 +120,6 @@ func fig6Plan(seed int64, case2 bool) *exec.HashJoin {
 }
 
 func TestBatchedChainsExactOnPaperShapes(t *testing.T) {
-	raiseProcs(t, 4)
 	shapes := []struct {
 		name string
 		mk   func() *exec.HashJoin
@@ -155,7 +144,6 @@ func TestBatchedChainsExactOnPaperShapes(t *testing.T) {
 // batched and demands the same converged estimate and the same number of
 // probe tuples observed — the trajectories end at the same point.
 func TestBatchedMatchesSerialTrajectories(t *testing.T) {
-	raiseProcs(t, 4)
 	shapes := []func() *exec.HashJoin{
 		func() *exec.HashJoin { return fig3Plan(20) },
 		func() *exec.HashJoin { return fig5Plan(21) },
@@ -173,7 +161,7 @@ func TestBatchedMatchesSerialTrajectories(t *testing.T) {
 			pe.OnProbeObserved = func(n int64) { probes = n }
 			var err error
 			if workers > 0 {
-				rows, err = exec.RunBatch(exec.AsBatch(top))
+				rows, err = exec.RunCol(top)
 			} else {
 				rows, err = exec.Run(top)
 			}
@@ -209,10 +197,10 @@ func TestBatchedMatchesSerialTrajectories(t *testing.T) {
 }
 
 // TestMixedChainFallsBackToTupleHooks: if only part of a chain is batched
-// the estimator must keep the (reader-goroutine) per-tuple hooks and stay
-// exact — the sharded mode requires every link batched.
+// the estimator must keep the per-tuple hooks (which the batched passes
+// fire too) and stay exact — the sharded mode requires every link
+// batched.
 func TestMixedChainFallsBackToTupleHooks(t *testing.T) {
-	raiseProcs(t, 4)
 	top := fig5Plan(30)
 	// Batch only the lower join.
 	lower := top.Probe().(*exec.HashJoin)
@@ -223,7 +211,6 @@ func TestMixedChainFallsBackToTupleHooks(t *testing.T) {
 // TestBatchedSemiJoinTopExact: non-inner top joins root their own chains;
 // the sharded mode must honor their multiplicity transforms too.
 func TestBatchedSemiJoinTopExact(t *testing.T) {
-	raiseProcs(t, 4)
 	rng := rand.New(rand.NewSource(31))
 	a := table("a", []string{"k"}, randCol(rng, 200, 15))
 	b := table("b", []string{"k"}, randCol(rng, 260, 15))
@@ -237,7 +224,6 @@ func TestBatchedSemiJoinTopExact(t *testing.T) {
 // the push-down estimator exact; the final publish happens at the probe
 // barrier (afterConverge) instead of the per-tuple tick.
 func TestBatchedAggPushdownExact(t *testing.T) {
-	raiseProcs(t, 4)
 	for _, workers := range []int{1, 4} {
 		rng := rand.New(rand.NewSource(32))
 		a := table("a", []string{"k"}, randCol(rng, 300, 25))
@@ -251,10 +237,10 @@ func TestBatchedAggPushdownExact(t *testing.T) {
 		if est == nil || est.Source() != "agg-pushdown" {
 			t.Fatal("expected pushdown estimator")
 		}
-		if !att.ChainOf[j].BatchAttached() {
+		if !att.ChainOf[j].ColShardAttached() {
 			t.Fatal("chain should attach sharded")
 		}
-		rows, err := exec.RunBatch(exec.AsBatch(agg))
+		rows, err := exec.RunCol(agg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,9 +11,8 @@ import (
 // This file rides join-key sketch construction on the grace-join
 // partition passes the estimation framework already observes: every
 // hash join's build pass and probe pass feed one ColumnSketch each,
-// span-at-a-time where the pass is columnar and sharded per worker
-// where the pass is parallel — sketching costs one hash per key and no
-// extra scan. The resulting single-table sketches merge into multi-join
+// span-at-a-time and sharded per worker on the batched tier — sketching
+// costs one hash per key and no extra scan. The resulting single-table sketches merge into multi-join
 // cardinality estimates through SketchSet.JoinSizeEstimate, which is
 // what the mid-query re-optimizer consumes for pipelines whose inputs
 // have already streamed past.
@@ -115,69 +114,41 @@ func (s *SketchSet) wire(j *exec.HashJoin) {
 	s.wireProbe(j, js.Probe)
 }
 
-// wireBuild mirrors hashLinkHooks' mode dispatch: worker-sharded hooks
-// when the pass is parallel (morselized columnar or batched — the pass
-// barrier OnBuildEnd merges the shards), serial span or tuple hooks
-// otherwise. Exactly one hook kind is installed per pass, matching
-// which callbacks that pass mode actually fires, so keys are never
-// double-counted. The tuple-mode partition pass fires no OnBuildEnd,
-// which is why the serial modes sketch into the destination directly.
+// wireBuild mirrors hashLinkHooks' dispatch: worker-sharded span hooks
+// on the batched tier (the pass barrier OnBuildEnd merges the shards;
+// k = 1 is the one-shard case), per-tuple hooks on the tuple path.
+// Exactly one hook kind is installed per pass, so keys are never
+// double-counted. The tuple path's partition pass fires no OnBuildEnd,
+// which is why it sketches into the destination directly.
 func (s *SketchSet) wireBuild(j *exec.HashJoin, cs *sketch.ColumnSketch) {
 	keys := j.BuildKeys()
-	switch {
-	case j.Columnar() && j.Morseled():
+	if j.Batched() {
 		shards := s.newShards(j.Workers())
 		j.OnBuildColBatch = composeColW(j.OnBuildColBatch, func(w int, cb *data.ColBatch) {
 			observeColKey(shards[w], cb, keys)
 		})
 		j.OnBuildEnd = compose0(j.OnBuildEnd, s.merger(cs, shards))
-	case j.Columnar():
-		j.OnBuildCol = composeCol(j.OnBuildCol, func(cb *data.ColBatch) {
-			observeColKey(cs, cb, keys)
-		})
-	case j.Batched():
-		shards := s.newShards(j.Workers())
-		j.OnBuildBatch = composeBatch(j.OnBuildBatch, func(w int, b data.Batch) {
-			for _, t := range b {
-				observeTupleKey(shards[w], t, keys)
-			}
-		})
-		j.OnBuildEnd = compose0(j.OnBuildEnd, s.merger(cs, shards))
-	default:
-		j.OnBuildTuple = compose(j.OnBuildTuple, func(t data.Tuple) {
-			observeTupleKey(cs, t, keys)
-		})
+		return
 	}
+	j.OnBuildTuple = compose(j.OnBuildTuple, func(t data.Tuple) {
+		observeTupleKey(cs, t, keys)
+	})
 }
 
-// wireProbe mirrors wireHashProbe's dispatch for one join's probe
-// partition pass.
+// wireProbe mirrors wireBuild for one join's probe partition pass.
 func (s *SketchSet) wireProbe(j *exec.HashJoin, cs *sketch.ColumnSketch) {
 	keys := j.ProbeKeys()
-	switch {
-	case j.Columnar() && j.Morseled():
+	if j.Batched() {
 		shards := s.newShards(j.Workers())
 		j.OnProbeColBatch = composeColW(j.OnProbeColBatch, func(w int, cb *data.ColBatch) {
 			observeColKey(shards[w], cb, keys)
 		})
 		j.OnProbeEnd = compose0(j.OnProbeEnd, s.merger(cs, shards))
-	case j.Columnar():
-		j.OnProbeCol = composeCol(j.OnProbeCol, func(cb *data.ColBatch) {
-			observeColKey(cs, cb, keys)
-		})
-	case j.Batched():
-		shards := s.newShards(j.Workers())
-		j.OnProbeBatch = composeBatch(j.OnProbeBatch, func(w int, b data.Batch) {
-			for _, t := range b {
-				observeTupleKey(shards[w], t, keys)
-			}
-		})
-		j.OnProbeEnd = compose0(j.OnProbeEnd, s.merger(cs, shards))
-	default:
-		j.OnProbeTuple = compose(j.OnProbeTuple, func(t data.Tuple) {
-			observeTupleKey(cs, t, keys)
-		})
+		return
 	}
+	j.OnProbeTuple = compose(j.OnProbeTuple, func(t data.Tuple) {
+		observeTupleKey(cs, t, keys)
+	})
 }
 
 func (s *SketchSet) newShards(workers int) []*sketch.ColumnSketch {

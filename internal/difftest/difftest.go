@@ -1,10 +1,9 @@
 // Package difftest is the randomized differential-testing harness: it
 // runs every qgen-generated plan through all execution modes of the real
-// engine (tuple-at-a-time, batch, batch-parallel, forced-spill,
-// parallel-spill, columnar, columnar-spill, morsel-driven row and
-// columnar scans, forced mid-query re-optimization in serial and morsel
-// flavors, and mid-query cancel/re-run)
-// and checks each run against the exact oracle
+// engine (tuple-at-a-time, forced-spill, the batched tier at one and
+// three workers with and without spills and single-block morsels,
+// forced mid-query re-optimization in serial and morsel flavors, and
+// mid-query cancel/re-run) and checks each run against the exact oracle
 // and the paper's estimator invariants:
 //
 //   - result-set equivalence: the run's output multiset equals the
@@ -47,37 +46,34 @@ type Mode int
 const (
 	// ModeTuple is the default tuple-at-a-time executor.
 	ModeTuple Mode = iota
-	// ModeBatch moves batches with serial partition passes.
-	ModeBatch
-	// ModeParallel runs batched partition passes with 3 scatter workers.
+	// ModeParallel runs the batched tier with 3 workers: morsel-driven
+	// partition passes over base-table children and the
+	// partition-parallel join phase.
 	ModeParallel
 	// ModeSpill forces grace-join and sort spills with a tiny budget.
 	ModeSpill
 	// ModeParallelSpill combines both stressors: a tiny budget forces every
-	// partition to disk (and keeps the scatter passes serial), while 3-way
-	// parallelism sends the grace joins through the partition-parallel join
-	// phase — concurrent workers reading spilled partitions back under the
-	// oracle's eye.
+	// partition to disk as columnar spill frames (and keeps the partition
+	// passes serial), while 3-way parallelism sends the grace joins
+	// through the partition-parallel join phase — concurrent workers
+	// reading spilled frames back under the oracle's eye.
 	ModeParallelSpill
 	// ModeCancelRerun cancels the context after the first bottom-stream
 	// tuple, verifies the terminal state, then re-runs a fresh build to
 	// completion with full checks.
 	ModeCancelRerun
-	// ModeColumnar drives the plan column-at-a-time: hash joins run the
-	// columnar partition passes with span-at-a-time estimator observation
-	// and gather output straight into column lanes.
+	// ModeColumnar runs the batched tier with one worker: hash joins run
+	// the serial vectorized scatter with worker-sharded span-at-a-time
+	// estimator observation (one shard) and gather output straight into
+	// column lanes; sorts run columnar.
 	ModeColumnar
-	// ModeColumnarSpill combines the columnar passes with a tiny budget,
-	// forcing partitions through the columnar spill frame codec.
+	// ModeColumnarSpill combines ModeColumnar with a tiny budget, forcing
+	// partitions through the columnar spill frame codec.
 	ModeColumnarSpill
-	// ModeMorsel runs the row partition passes morsel-driven: 3 scan
-	// workers claim single-block morsels (forcing many claims even on tiny
-	// qgen tables) and scatter concurrently, exercising the sharded
-	// estimator observation and the hook serialization under real
-	// concurrency.
-	ModeMorsel
-	// ModeColMorsel is ModeMorsel over the columnar partition passes, with
-	// worker-sharded span-at-a-time estimator observation.
+	// ModeColMorsel runs the batched tier with 3 scan workers claiming
+	// single-block morsels (forcing many claims even on tiny qgen
+	// tables), exercising the sharded estimator observation and the hook
+	// serialization under real concurrency; sorts run columnar.
 	ModeColMorsel
 	// ModeReopt runs with a Force-mode sketch-backed re-optimizer: every
 	// eligible unstarted join segment is re-ordered (or side-swapped) at
@@ -86,18 +82,17 @@ const (
 	// spec (recovered from the executed tree) for per-join cardinalities
 	// and once-exactness of the re-attached chain estimators.
 	ModeReopt
-	// ModeReoptMorsel is ModeReopt over morsel-driven parallel partition
-	// passes: the restructure window races 3 scan workers.
+	// ModeReoptMorsel is ModeReopt on the batched tier with 3 workers over
+	// single-block morsels: the restructure window races the scan
+	// workers.
 	ModeReoptMorsel
 )
 
 // AllModes is every execution mode, in suite order.
-var AllModes = []Mode{ModeTuple, ModeBatch, ModeParallel, ModeSpill, ModeParallelSpill, ModeColumnar, ModeColumnarSpill, ModeMorsel, ModeColMorsel, ModeReopt, ModeReoptMorsel, ModeCancelRerun}
+var AllModes = []Mode{ModeTuple, ModeParallel, ModeSpill, ModeParallelSpill, ModeColumnar, ModeColumnarSpill, ModeColMorsel, ModeReopt, ModeReoptMorsel, ModeCancelRerun}
 
 func (m Mode) String() string {
 	switch m {
-	case ModeBatch:
-		return "batch"
 	case ModeParallel:
 		return "parallel"
 	case ModeSpill:
@@ -110,8 +105,6 @@ func (m Mode) String() string {
 		return "columnar"
 	case ModeColumnarSpill:
 		return "columnar-spill"
-	case ModeMorsel:
-		return "morsel"
 	case ModeColMorsel:
 		return "columnar-morsel"
 	case ModeReopt:
@@ -181,8 +174,6 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 		return err
 	}
 	switch m {
-	case ModeBatch:
-		setParallelism(b.Root, 1)
 	case ModeParallel:
 		setParallelism(b.Root, 3)
 	case ModeSpill:
@@ -195,8 +186,6 @@ func runMode(c *qgen.Case, want *oracle.Result, m Mode, st *SuiteStats) error {
 	case ModeColumnarSpill:
 		setColumnar(b.Root)
 		setBudget(b.Root, spillBudget)
-	case ModeMorsel:
-		setMorsel(b.Root)
 	case ModeColMorsel:
 		setColumnar(b.Root)
 		setMorsel(b.Root)
@@ -520,9 +509,7 @@ func drain(root exec.Operator, m Mode) ([]data.Tuple, error) {
 	var rows []data.Tuple
 	var err error
 	switch m {
-	case ModeBatch, ModeParallel, ModeParallelSpill, ModeMorsel, ModeReoptMorsel:
-		rows, err = exec.DrainBatch(exec.AsBatch(root))
-	case ModeColumnar, ModeColumnarSpill, ModeColMorsel:
+	case ModeParallel, ModeParallelSpill, ModeColumnar, ModeColumnarSpill, ModeColMorsel, ModeReoptMorsel:
 		rows, err = exec.DrainCol(exec.AsColOperator(root))
 	default:
 		rows, err = exec.Drain(root)
@@ -541,24 +528,24 @@ func setParallelism(root exec.Operator, workers int) {
 	})
 }
 
-// setMorsel enables morsel-driven scans with 3 workers and single-block
-// morsels, so even the smallest qgen tables split into many concurrent
-// claims.
+// setMorsel puts every hash join on the batched tier with 3 workers and
+// single-block morsels, so even the smallest qgen tables split into many
+// concurrent claims.
 func setMorsel(root exec.Operator) {
 	exec.Walk(root, func(op exec.Operator) {
 		if j, ok := op.(*exec.HashJoin); ok {
-			j.SetParallelism(3)
-			j.SetMorsel(true)
-			j.SetMorselBlocks(1)
+			j.SetParallelism(3).SetMorselBlocks(1)
 		}
 	})
 }
 
+// setColumnar puts every hash join on the batched tier with one worker
+// and switches sorts to their columnar input pass.
 func setColumnar(root exec.Operator) {
 	exec.Walk(root, func(op exec.Operator) {
 		switch o := op.(type) {
 		case *exec.HashJoin:
-			o.SetColumnar(true)
+			o.SetParallelism(1)
 		case *exec.Sort:
 			o.SetColumnar(true)
 		}

@@ -8,11 +8,11 @@ import (
 
 // FuzzDifferential lets the fuzzer explore the (seed, Options) space
 // directly. Each input is one generated case checked against the oracle
-// in tuple, batch, parallel and columnar mode — parallel sends every
-// grace join through the partition-parallel join phase, columnar through
-// the vectorized partition passes and column-lane output gather (the
-// full mode sweep, including spills and cancellation, runs in
-// TestDifferentialSuite). Minimized suite failures land in
+// on the tuple path and the batched tier at one and three workers —
+// columnar runs the serial vectorized partition passes and column-lane
+// output gather, parallel adds morsel-driven passes and the
+// partition-parallel join phase (the full mode sweep, including spills
+// and cancellation, runs in TestDifferentialSuite). Minimized suite failures land in
 // testdata/fuzz/FuzzDifferential as permanent regressions.
 func FuzzDifferential(f *testing.F) {
 	f.Add(int64(1), 32, 2, true, true, true)
@@ -29,7 +29,7 @@ func FuzzDifferential(f *testing.F) {
 			AltJoins: altJoins,
 			NonInner: nonInner,
 		}
-		if err := CheckCase(seed, opts, nil, ModeTuple, ModeBatch, ModeParallel, ModeColumnar); err != nil {
+		if err := CheckCase(seed, opts, nil, ModeTuple, ModeColumnar, ModeParallel); err != nil {
 			t.Fatalf("%v\nreplay: %s", err, ReplayCommand(seed, opts))
 		}
 	})

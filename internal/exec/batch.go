@@ -2,12 +2,14 @@ package exec
 
 import "qpi/internal/data"
 
-// This file is the batch-at-a-time execution layer. Operators that can
-// move data.DefaultBatchSize tuples per call implement BatchOperator
-// natively (Scan, Filter, Project, Limit, HashJoin, HashAgg); everything
-// else — and every existing tuple-at-a-time caller — keeps working through
-// the adapter pair below, so the two execution modes compose freely in one
-// plan.
+// This file is the row-batch contract underneath the columnar layer
+// (colexec.go). Scan, HashJoin and Reorder move data.DefaultBatchSize
+// tuples per NextBatch call; every other operator lifts to the contract
+// through AsBatch, which accumulates tuples from Next. The batched tier
+// does not drive plans through NextBatch: roots pull NextColBatch, and a
+// ColOperator adapter (colAdapter) uses AsBatch to re-expose row-only
+// operators — sorts, merge and nested-loops joins, user operators — as
+// columnar batches.
 
 // BatchOperator is the batch-at-a-time executor contract. NextBatch
 // returns the next batch of output tuples; an empty (or nil) batch signals
@@ -94,42 +96,4 @@ func (a *tupleAdapter) Next() (data.Tuple, error) {
 		}
 		a.cur, a.pos = b, 0
 	}
-}
-
-// DrainBatch runs an opened operator to exhaustion through its batch path,
-// returning all tuples. The returned tuples are copied out of the reused
-// batch buffers and safe to retain.
-func DrainBatch(op BatchOperator) ([]data.Tuple, error) {
-	var out []data.Tuple
-	for {
-		b, err := op.NextBatch()
-		if err != nil {
-			return out, err
-		}
-		if len(b) == 0 {
-			return out, nil
-		}
-		out = append(out, b...)
-	}
-}
-
-// RunBatch opens, drains and closes an operator through its batch path,
-// returning the row count — the batch-mode counterpart of Run.
-func RunBatch(op BatchOperator) (int64, error) {
-	if err := op.Open(); err != nil {
-		return 0, err
-	}
-	var n int64
-	for {
-		b, err := op.NextBatch()
-		if err != nil {
-			op.Close()
-			return n, err
-		}
-		if len(b) == 0 {
-			break
-		}
-		n += int64(len(b))
-	}
-	return n, op.Close()
 }

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -11,18 +10,6 @@ import (
 	"qpi/internal/expr"
 	"qpi/internal/storage"
 )
-
-// allowWorkers raises GOMAXPROCS for the duration of a test so the
-// parallel scatter path actually runs multi-worker even on single-CPU
-// machines (HashJoin.Workers caps at GOMAXPROCS).
-func allowWorkers(t *testing.T, n int) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(0)
-	if prev < n {
-		runtime.GOMAXPROCS(n)
-		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	}
-}
 
 // drainTuples runs an operator tuple-at-a-time and returns its rows.
 func drainTuples(t *testing.T, op Operator) []data.Tuple {
@@ -40,18 +27,43 @@ func drainTuples(t *testing.T, op Operator) []data.Tuple {
 	return rows
 }
 
-// drainBatches runs an operator through its batch path and returns its rows.
+// drainBatches runs an operator through its row-batch path and returns
+// its rows.
 func drainBatches(t *testing.T, op Operator) []data.Tuple {
 	t.Helper()
 	b := AsBatch(op)
 	if err := b.Open(); err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	rows, err := DrainBatch(b)
-	if err != nil {
-		t.Fatalf("DrainBatch: %v", err)
+	var rows []data.Tuple
+	for {
+		bt, err := b.NextBatch()
+		if err != nil {
+			t.Fatalf("NextBatch: %v", err)
+		}
+		if len(bt) == 0 {
+			break
+		}
+		rows = append(rows, bt...)
 	}
 	if err := b.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	return rows
+}
+
+// drainCols runs an operator through its columnar path — the batched
+// tier's root driver — and returns its rows.
+func drainCols(t *testing.T, op Operator) []data.Tuple {
+	t.Helper()
+	if err := op.Open(); err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	rows, err := DrainCol(AsColOperator(op))
+	if err != nil {
+		t.Fatalf("DrainCol: %v", err)
+	}
+	if err := op.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	return rows
@@ -143,7 +155,7 @@ func TestFilterProjectLimitBatchEquivalence(t *testing.T) {
 		return NewLimit(p, 1500)
 	}
 	a, b := mk(), mk()
-	requireSameRows(t, drainTuples(t, a), drainBatches(t, b), true, "filter/project/limit")
+	requireSameRows(t, drainTuples(t, a), drainCols(t, b), true, "filter/project/limit")
 	requireSameStats(t, a, b, "filter/project/limit")
 }
 
@@ -161,12 +173,11 @@ func TestHashAggBatchEquivalence(t *testing.T) {
 		})
 	}
 	a, b := mk(), mk()
-	requireSameRows(t, drainTuples(t, a), drainBatches(t, b), true, "hashagg")
+	requireSameRows(t, drainTuples(t, a), drainCols(t, b), true, "hashagg")
 	requireSameStats(t, a, b, "hashagg")
 }
 
 func TestHashJoinBatchEquivalence(t *testing.T) {
-	allowWorkers(t, 4)
 	rng := rand.New(rand.NewSource(13))
 	build := make([]int64, 2500)
 	probe := make([]int64, 3000)
@@ -190,7 +201,7 @@ func TestHashJoinBatchEquivalence(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("%v join, %d workers", jt, workers)
 			j := mk(workers)
-			got := drainBatches(t, j)
+			got := drainCols(t, j)
 			// K=1 keeps input order within partitions; K>1 interleaves.
 			requireSameRows(t, want, got, workers == 1, label)
 			requireSameStats(t, base, j, label)
@@ -202,11 +213,10 @@ func TestHashJoinBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestHashJoinNullKeysBatched checks the NULL-key rules survive the batched
-// passes: build NULLs never join, probe NULLs are preserved only by the
+// TestHashJoinNullKeysBatched checks the NULL-key rules survive the
+// batched tier's lane-native passes: build NULLs never join, probe NULLs are preserved only by the
 // probe-preserving join types.
 func TestHashJoinNullKeysBatched(t *testing.T) {
-	allowWorkers(t, 3)
 	mkSide := func(name string, vals []int64, nulls int) *storage.Table {
 		sch := data.NewSchema(data.Column{Table: name, Name: "k", Kind: data.KindInt})
 		tb := storage.NewTable(name, sch)
@@ -232,7 +242,7 @@ func TestHashJoinNullKeysBatched(t *testing.T) {
 			NewScan(mkSide("b", []int64{2, 3, 3, 4}, 3), ""),
 			[]int{0}, []int{0}, jt))
 		for _, workers := range []int{1, 3} {
-			got := drainBatches(t, mk(workers))
+			got := drainCols(t, mk(workers))
 			requireSameRows(t, want, got, workers == 1,
 				fmt.Sprintf("%v join nulls, %d workers", jt, workers))
 		}
@@ -240,11 +250,10 @@ func TestHashJoinNullKeysBatched(t *testing.T) {
 }
 
 // TestHashJoinBatchHooks checks the batched pass hook contract: per-tuple
-// hooks fire once per input tuple (on the reader), batch hooks cover every
+// hooks fire once per input tuple, worker-indexed span hooks cover every
 // tuple exactly once across workers, and OnBuildEnd fires between the
 // passes.
 func TestHashJoinBatchHooks(t *testing.T) {
-	allowWorkers(t, 4)
 	a := randTable("a", 2000, 50, 21)
 	b := randTable("b", 2400, 50, 22)
 	for _, workers := range []int{1, 4} {
@@ -272,9 +281,9 @@ func TestHashJoinBatchHooks(t *testing.T) {
 		j.OnProbeEnd = func() { probeEnd = true }
 		j.OnOutput = func(data.Tuple) { outputs++ }
 		counts := make([]int64, 8) // per-worker tallies, no sharing
-		j.OnBuildBatch = func(w int, b data.Batch) { counts[w] += int64(len(b)) }
-		j.OnProbeBatch = func(w int, b data.Batch) { counts[4+w] += int64(len(b)) }
-		n, err := RunBatch(j)
+		j.OnBuildColBatch = func(w int, cb *data.ColBatch) { counts[w] += int64(cb.Live()) }
+		j.OnProbeColBatch = func(w int, cb *data.ColBatch) { counts[4+w] += int64(cb.Live()) }
+		n, err := RunCol(j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +295,7 @@ func TestHashJoinBatchHooks(t *testing.T) {
 			t.Errorf("workers=%d: per-tuple hooks build=%d probe=%d", workers, buildTuples, probeTuples)
 		}
 		if buildBatched != int64(len(a)) || probeBatched != int64(len(b)) {
-			t.Errorf("workers=%d: batch hooks build=%d probe=%d", workers, buildBatched, probeBatched)
+			t.Errorf("workers=%d: span hooks build=%d probe=%d", workers, buildBatched, probeBatched)
 		}
 		if !buildEnd || !probeEnd {
 			t.Errorf("workers=%d: barriers build=%v probe=%v", workers, buildEnd, probeEnd)
@@ -328,10 +337,9 @@ func TestAdaptersCompose(t *testing.T) {
 	requireSameRows(t, drainTuples(t, sc2), rows, true, "scan via tupleAdapter")
 }
 
-// TestMixedModePlan pipelines a native-batch join under a tuple-only sort
-// under a batch drain: the adapters must compose transparently.
+// TestMixedModePlan pipelines a batched-tier join under a tuple-only sort
+// under a columnar drain: the adapters must compose transparently.
 func TestMixedModePlan(t *testing.T) {
-	allowWorkers(t, 4)
 	a := randTable("a", 1200, 60, 24)
 	b := randTable("b", 1500, 60, 25)
 	mk := func(workers int) Operator {
@@ -343,7 +351,7 @@ func TestMixedModePlan(t *testing.T) {
 		return NewSort(j, 1)
 	}
 	want := drainTuples(t, mk(0))
-	got := drainBatches(t, mk(4))
+	got := drainCols(t, mk(4))
 	// Sort on the probe key makes the comparison order-insensitive enough;
 	// still compare as multisets since equal keys may interleave.
 	requireSameRows(t, want, got, false, "join under sort")

@@ -102,7 +102,7 @@ func cancelJoin(t *testing.T, budget int64, workers int, arm func(j *HashJoin, c
 	var err error
 	if workers > 0 {
 		j.SetParallelism(workers)
-		_, err = RunBatch(j)
+		_, err = RunCol(j)
 	} else {
 		_, err = Run(j)
 	}
@@ -169,7 +169,7 @@ func TestCancelMidOutput(t *testing.T) {
 
 func TestCancelBatchedSpillJoin(t *testing.T) {
 	// The budget keeps the batched passes serial, exercising the
-	// per-batch ctx check in partitionPassBatched.
+	// per-batch ctx check in partitionPassColumnar.
 	cancelJoin(t, 16*1024, 4, func(j *HashJoin, cancel func()) {
 		n := 0
 		j.OnProbeTuple = func(data.Tuple) {
@@ -180,8 +180,8 @@ func TestCancelBatchedSpillJoin(t *testing.T) {
 	})
 }
 
-// TestCancelParallelPass cancels during the parallel scatter: the reader
-// stops, closes the work channel, and the workers must all exit — the
+// TestCancelParallelPass cancels during the morsel-parallel build pass:
+// the scan workers stop claiming morsels and must all exit — the
 // hand-rolled goroutine check catches any that linger.
 func TestCancelParallelPass(t *testing.T) {
 	before := runtime.NumGoroutine()

@@ -5,13 +5,13 @@ import (
 	"qpi/internal/expr"
 )
 
-// This file is the columnar execution layer, stacked on the batch layer
-// the way batch.go stacks on Volcano: operators that can serve typed
-// column vectors implement ColOperator natively (Scan, Filter, Project,
-// Limit, HashJoin, HashAgg); everything else composes through
-// AsColOperator, which wraps the operator's batch path and exposes the
-// rows as a lazily-pivoted ColBatch. Selection vectors flow through
-// filters without copying tuples, and the join's columnar output path
+// This file is the columnar execution layer — the executor contract of
+// the batched tier (HashJoin.SetParallelism(k ≥ 1)): plan roots are
+// driven through NextColBatch. Scan, Filter, Project, Limit, HashJoin and
+// HashAgg implement ColOperator natively; everything else composes
+// through AsColOperator, which wraps the operator's row batches
+// (batch.go) as a lazily-pivoted ColBatch. Selection vectors flow
+// through filters without copying tuples, and the join's output path
 // gathers values straight into pooled lanes (see hashjoin_col.go).
 
 // ColOperator is the columnar executor contract. NextColBatch returns
@@ -89,8 +89,8 @@ func DrainCol(op ColOperator) ([]data.Tuple, error) {
 }
 
 // RunCol opens, drains and closes an operator through its columnar path,
-// returning the live row count — the columnar counterpart of Run and
-// RunBatch. No tuples are materialized at the root.
+// returning the live row count — the columnar counterpart of Run. No
+// tuples are materialized at the root.
 func RunCol(op ColOperator) (int64, error) {
 	if err := op.Open(); err != nil {
 		return 0, err

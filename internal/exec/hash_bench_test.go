@@ -230,7 +230,7 @@ func benchJoinTables() (*storage.Table, *storage.Table) {
 
 func runColumnarJoinOnce(bt, pt *storage.Table) (int64, error) {
 	j := NewHashJoin(NewScan(bt, ""), NewScan(pt, ""), 0, 0)
-	j.SetColumnar(true)
+	j.SetParallelism(1)
 	return RunCol(j)
 }
 

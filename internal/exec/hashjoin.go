@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
-	"runtime"
 	"sync/atomic"
 
 	"qpi/internal/data"
@@ -55,34 +54,19 @@ type HashJoin struct {
 	// letting progress monitors sample during long emission phases.
 	OnOutput func(data.Tuple)
 
-	// Batched-pass hooks (set alongside, not instead of, the per-tuple
-	// hooks above). During a batched partition pass OnBuildBatch /
-	// OnProbeBatch fire once per input batch on the scatter worker that
-	// owns the batch (worker index in [0, Workers())), while the per-tuple
-	// hooks keep firing on the reader goroutine — so estimators can shard
-	// per worker and monitors keep their single-threaded view. OnBuildEnd
-	// fires on the reader after the build pass barrier, before any probe
-	// input is pulled; shards merge there.
-	OnBuildBatch func(worker int, b data.Batch)
-	OnProbeBatch func(worker int, b data.Batch)
-	OnBuildEnd   func()
+	// OnBuildEnd fires after the build partition pass, before any probe
+	// input is pulled: the barrier where worker-sharded observers merge.
+	OnBuildEnd func()
 
-	// Columnar-pass hooks (set alongside the per-tuple hooks). During a
-	// columnar partition pass OnBuildCol / OnProbeCol fire once per input
-	// ColBatch, after the per-tuple hooks have fired for the batch's live
-	// rows; the serial pass needs no consumer locking, and a morselized
-	// pass serializes these hooks under its pass mutex. The batch is
-	// only valid for the duration of the call (see the ColBatch ownership
-	// contract in internal/data).
-	OnBuildCol func(cb *data.ColBatch)
-	OnProbeCol func(cb *data.ColBatch)
-
-	// Worker-indexed columnar hooks: the columnar counterpart of
-	// OnBuildBatch/OnProbeBatch, firing once per ColBatch on the scan
-	// worker that owns it during a morselized columnar pass (worker 0 on
-	// the serial columnar pass). The estimation framework backs them with
-	// per-worker histogram shards merged at the pass barriers, keeping
-	// estimates bit-identical to serial execution.
+	// Worker-indexed span hooks of the batched tier (set alongside the
+	// per-tuple hooks). They fire once per input ColBatch on the worker
+	// that owns it — the scan worker of a morsel pass, worker 0 on the
+	// serial vectorized scatter — after the per-tuple hooks have fired
+	// for the batch's live rows. The estimation framework backs them with
+	// per-worker shards merged at the pass barriers (OnBuildEnd,
+	// OnProbeEnd), keeping estimates bit-identical to the tuple path. The
+	// batch is only valid for the duration of the call (see the ColBatch
+	// ownership contract in internal/data).
 	OnBuildColBatch func(worker int, cb *data.ColBatch)
 	OnProbeColBatch func(worker int, cb *data.ColBatch)
 
@@ -94,22 +78,12 @@ type HashJoin struct {
 	// It fires on the executor goroutine with the join quiescent.
 	OnBeforePartition func(j *HashJoin)
 
-	// workers > 0 selects the batch-at-a-time partition passes with that
-	// many scatter workers (see SetParallelism); 0 is the legacy
-	// tuple-at-a-time pass.
-	workers int
-
-	// colMode selects the columnar partition passes (serial, vectorized
-	// key hashing off flat int64 lanes) and the columnar spill frame
-	// format; see SetColumnar. It takes precedence over workers for the
-	// partition passes; the join (second) phase still parallelizes per
-	// JoinWorkers.
-	colMode bool
-
-	// morsel enables morsel-driven parallel scans for the partition
-	// passes (row and columnar); morselBlocks overrides the blocks per
-	// claim. See hashjoin_morsel.go.
-	morsel       bool
+	// workers > 0 selects the batched tier — the lane-native partition
+	// passes of hashjoin_col.go with that many workers (see
+	// SetParallelism); 0 is the tuple-at-a-time reference path.
+	// morselBlocks overrides the blocks per morsel claim (see
+	// hashjoin_morsel.go).
+	workers      int
 	morselBlocks int
 
 	state      hjState
@@ -148,7 +122,7 @@ type HashJoin struct {
 	matchPos int
 	probeTup data.Tuple
 
-	// Lane-native columnar partition state (colMode): per-partition pooled
+	// Lane-native partition state (batched tier): per-partition pooled
 	// ColBatch lane buffers replace the row-major buffers end-to-end — the
 	// passes scatter lane-to-lane, the join table indexes rows of the
 	// partition's lanes, and the join phase gathers output lane-to-lane.
@@ -172,7 +146,7 @@ type HashJoin struct {
 	colPairP      []int32
 	colGatherB    *data.ColBatch // gather sources snapshotted when the first
 	colGatherP    *data.ColBatch // pair of a fill appends (stable across a source switch)
-	colPendB      int32 // pair produced after a source switch, served first next fill
+	colPendB      int32          // pair produced after a source switch, served first next fill
 	colPendP      int32
 	colPendSet    bool
 	colKeyScratch data.Tuple
@@ -188,10 +162,8 @@ type HashJoin struct {
 	// hashjoin_parallel.go.
 	joinPar *parallelJoinState
 
-	// Batch output state: outBuf is the reused output batch, arena the
-	// bump allocator backing concatenated output tuples in batch mode.
+	// Batch output state: outBuf is the reused output batch.
 	outBuf data.Batch
-	arena  []data.Value
 
 	// Columnar output state: colOut is the reused output ColBatch.
 	colOut data.ColBatch
@@ -200,15 +172,15 @@ type HashJoin struct {
 	nullBuild data.Tuple // all-NULL build-side padding for ProbeOuterJoin
 }
 
-// joinTable is the per-partition build hash table. Integer join keys —
+// joinTable is the tuple path's per-partition build hash table. Integer
+// join keys —
 // the dominant case — index an open-addressing hashtab.I64Map whose
 // values are spans into one flat tuple arena: building is two passes
 // (count per key, then fill), so a partition's table costs a handful of
 // allocations regardless of its distinct-key count, and probing touches
 // a flat int64 key array instead of chasing map buckets. Non-integer
 // keys fall back to a Value-keyed map. A joinTable is reusable across
-// partitions (build resets it, retaining capacity), which is how the
-// parallel join phase amortizes table memory per worker.
+// partitions (build resets it, retaining capacity).
 type joinTable struct {
 	ints hashtab.I64Map[tupleSpan]
 	flat []data.Tuple
@@ -288,12 +260,13 @@ func (jt *joinTable) clear() {
 	jt.flat, jt.other = nil, nil
 }
 
-// colJoinTable is the lane-native per-partition build table: the same
-// two-pass count/fill layout as joinTable, but the spans index rows of
-// the partition's ColBatch lanes (int32 row numbers) instead of holding
-// tuple references — building reads the flat key lane, probing returns
-// row indexes for the lane-to-lane gather, and no build tuple is ever
-// materialized.
+// colJoinTable is the batched tier's per-partition build table, reused
+// across partitions by the serial join phase and by each join-phase
+// worker: the same two-pass count/fill layout as joinTable, but the
+// spans index rows of the partition's ColBatch lanes (int32 row numbers)
+// instead of holding tuple references — building reads the flat key
+// lane, probing returns row indexes for the lane-to-lane gather, and no
+// build tuple is ever materialized.
 type colJoinTable struct {
 	ints hashtab.I64Map[tupleSpan]
 	flat []int32
@@ -553,16 +526,17 @@ func (j *HashJoin) SetSpillFS(fs vfs.FS) *HashJoin {
 	return j
 }
 
-// SetParallelism selects the batch-at-a-time grace partition passes with
-// k scatter workers, and — for k ≥ 2 — the partition-parallel join
-// (second) phase with min(k, partitions) join workers (see
-// JoinWorkers). k is capped at GOMAXPROCS when the scatter passes run;
-// k=1 runs the batched passes serially (still batch-at-a-time, no extra
-// goroutines); k=0 restores the default tuple-at-a-time passes. When a
-// memory budget is set, the partition passes run batched but serial
-// regardless of k so spill accounting stays single-threaded — the join
-// phase still parallelizes, since joining spilled partitions is
-// per-partition independent.
+// SetParallelism selects the execution tier. k ≥ 1 runs the batched
+// tier: the lane-native partition passes of hashjoin_col.go, which claim
+// morsels with k scan workers when a pass's child is an eligible Scan
+// and k ≥ 2 (see hashjoin_morsel.go) and run the serial vectorized
+// scatter otherwise, followed — for k ≥ 2 — by the partition-parallel
+// join phase with min(k, partitions) workers (see JoinWorkers). k = 0
+// (the default) restores the tuple-at-a-time reference path. k is taken
+// as given: callers that accept outside input cap it first. A memory
+// budget keeps the partition passes serial so spill accounting stays
+// single-threaded; the join phase still parallelizes, since joining
+// spilled partitions is per-partition independent.
 func (j *HashJoin) SetParallelism(k int) *HashJoin {
 	if k < 0 {
 		k = 0
@@ -571,34 +545,27 @@ func (j *HashJoin) SetParallelism(k int) *HashJoin {
 	return j
 }
 
-// Batched reports whether the partition passes run batch-at-a-time.
+// Batched reports whether the join runs the batched (lane-native) tier.
 func (j *HashJoin) Batched() bool { return j.workers > 0 }
 
-// Workers returns the number of scatter workers the batched partition
-// passes will use (≥ 1; 1 when batching is off). Without morsel scans
-// the count is capped at GOMAXPROCS — extra single-reader scatter
-// workers only add handoff cost. Morsel mode lifts the cap, like
-// JoinWorkers: goroutines time-slice, and the differential tests
-// exercise the concurrent claim path on any machine. A memory budget
-// always forces 1 (spill accounting is single-threaded).
+// Parallelism returns the k set by SetParallelism (0 = tuple path).
+func (j *HashJoin) Parallelism() int { return j.workers }
+
+// Workers returns the number of workers the batched partition passes
+// will use (≥ 1; 1 when batching is off). A memory budget always forces
+// 1 (spill accounting is single-threaded).
 func (j *HashJoin) Workers() int {
-	k := j.workers
-	if max := runtime.GOMAXPROCS(0); !j.morsel && k > max {
-		k = max
+	if j.memBudget > 0 || j.workers < 1 {
+		return 1
 	}
-	if j.memBudget > 0 || k < 1 {
-		k = 1
-	}
-	return k
+	return j.workers
 }
 
 // JoinWorkers returns the number of workers the join (second) phase will
 // use: min(SetParallelism k, partitions), 1 when batching is off or k=1.
-// Unlike the scatter passes it is neither capped at GOMAXPROCS
-// (goroutines time-slice, and tests exercise the concurrent path on any
-// machine) nor forced serial by a memory budget: after the partition
-// passes every partition — in-memory or spilled — is joined
-// independently.
+// Unlike the partition passes it is not forced serial by a memory
+// budget: after the partition passes every partition — in-memory or
+// spilled — is joined independently.
 func (j *HashJoin) JoinWorkers() int {
 	k := j.workers
 	if k > j.parts {
@@ -699,13 +666,10 @@ func (j *HashJoin) Next() (data.Tuple, error) {
 	}
 	var t data.Tuple
 	var err error
-	switch {
-	case j.joinPar != nil:
+	if j.joinPar != nil {
 		t, err = j.nextParallel()
-	case j.colMode:
-		t, err = j.advanceColRow()
-	default:
-		t, err = j.advance(data.Tuple.Concat)
+	} else {
+		t, err = j.nextRow()
 	}
 	if err != nil {
 		return nil, err
@@ -716,10 +680,20 @@ func (j *HashJoin) Next() (data.Tuple, error) {
 	return j.emitOut(t)
 }
 
-// NextBatch implements BatchOperator: the join (second) pass fills whole
-// output batches, bump-allocating the concatenated tuples out of a shared
-// arena instead of one make per output row. Hooks and counters behave as
-// in Next.
+// nextRow produces the next output row of the serial join phase: one
+// pair materialized from the partition lanes on the batched tier, one
+// concatenated tuple on the tuple path.
+func (j *HashJoin) nextRow() (data.Tuple, error) {
+	if j.Batched() {
+		return j.advanceColRow()
+	}
+	return j.advance(data.Tuple.Concat)
+}
+
+// NextBatch implements BatchOperator: whole batches of output rows, with
+// hooks and counters as in Next. It backs the row-wise output of
+// NextColBatch (output hooks, the parallel join phase, the tuple path)
+// and row consumers above the join.
 func (j *HashJoin) NextBatch() (data.Batch, error) {
 	if err := j.ensurePartitioned(); err != nil {
 		return nil, err
@@ -732,13 +706,7 @@ func (j *HashJoin) NextBatch() (data.Batch, error) {
 	}
 	out := j.outBuf[:0]
 	for len(out) < cap(out) {
-		var t data.Tuple
-		var err error
-		if j.colMode {
-			t, err = j.advanceColRow()
-		} else {
-			t, err = j.advance(j.arenaConcat)
-		}
+		t, err := j.nextRow()
 		if err != nil {
 			return nil, err
 		}
@@ -754,8 +722,8 @@ func (j *HashJoin) NextBatch() (data.Batch, error) {
 	return j.emitBatch(out)
 }
 
-// ensurePartitioned runs the partition phases once, choosing the batched
-// passes when parallelism is enabled.
+// ensurePartitioned runs the partition phases once: the lane-native
+// passes on the batched tier, the tuple-at-a-time passes otherwise.
 func (j *HashJoin) ensurePartitioned() error {
 	if j.state != hjInit {
 		return nil
@@ -765,12 +733,9 @@ func (j *HashJoin) ensurePartitioned() error {
 	}
 	j.partStarted.Store(true)
 	var err error
-	switch {
-	case j.colMode:
+	if j.Batched() {
 		err = j.partitionPhasesColumnar()
-	case j.workers > 0:
-		err = j.partitionPhasesBatched()
-	default:
+	} else {
 		err = j.partitionPhases()
 	}
 	if err != nil {
@@ -789,30 +754,16 @@ func (j *HashJoin) beginJoinPhase() error {
 		j.startParallelJoin()
 		return nil
 	}
-	if j.colMode {
+	if j.Batched() {
 		return j.loadColPartition(0)
 	}
 	return j.loadPartition(0)
 }
 
-// arenaConcat concatenates two tuples into the join's output arena,
-// amortizing the allocation across a whole batch of output rows.
-func (j *HashJoin) arenaConcat(a, b data.Tuple) data.Tuple {
-	n := len(a) + len(b)
-	if len(j.arena) < n {
-		j.arena = make([]data.Value, n*data.BatchSize())
-	}
-	out := j.arena[:n:n]
-	j.arena = j.arena[n:]
-	copy(out, a)
-	copy(out[len(a):], b)
-	return data.Tuple(out)
-}
-
-// advance produces the next join output tuple of the second pass, or nil
-// when the join is exhausted. concat builds build⧺probe output rows, so
-// Next and NextBatch can allocate differently. The OnOutput hook and the
-// emission count are the caller's responsibility.
+// advance produces the next join output tuple of the tuple path's second
+// pass, or nil when the join is exhausted. concat builds build⧺probe
+// output rows. The OnOutput hook and the emission count are the caller's
+// responsibility.
 func (j *HashJoin) advance(concat func(a, b data.Tuple) data.Tuple) (data.Tuple, error) {
 	for j.state == hjJoin {
 		if err := j.pollCtx(); err != nil {
@@ -883,10 +834,10 @@ func (j *HashJoin) advance(concat func(a, b data.Tuple) data.Tuple) (data.Tuple,
 }
 
 // initPartitions allocates the per-partition buffers for both sides.
-// colMode uses pooled lane buffers (fetched lazily on first append)
-// instead of the row-major slices.
+// The batched tier uses pooled lane buffers (fetched lazily on first
+// append) instead of the row-major slices.
 func (j *HashJoin) initPartitions() {
-	if j.colMode {
+	if j.Batched() {
 		j.buildColParts = make([]*data.ColBatch, j.parts)
 		j.probeColParts = make([]*data.ColBatch, j.parts)
 	} else {
@@ -1164,11 +1115,7 @@ func (j *HashJoin) ResetObservers() {
 	j.OnProbeTuple = nil
 	j.OnProbeEnd = nil
 	j.OnOutput = nil
-	j.OnBuildBatch = nil
-	j.OnProbeBatch = nil
 	j.OnBuildEnd = nil
-	j.OnBuildCol = nil
-	j.OnProbeCol = nil
 	j.OnBuildColBatch = nil
 	j.OnProbeColBatch = nil
 }

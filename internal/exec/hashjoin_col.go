@@ -8,42 +8,28 @@ import (
 	"qpi/internal/data"
 )
 
-// This file implements the lane-native columnar grace hash join: the
-// partition passes scatter input rows lane-to-lane into per-partition
-// ColBatch buffers (no row-major partition buffers, no per-row tuple
-// references), the join table indexes rows of the build partition's
-// lanes straight off its key lane, and the join (second) phase gathers
-// output lane-to-lane through (build row, probe row) pair buffers.
-// Spilled partitions write columnar frames directly from the lanes and
-// stream back as lane chunks — no FromTuples/ToTuples pivot anywhere on
-// the columnar path.
+// This file implements the batched tier of the grace hash join, selected
+// by SetParallelism(k ≥ 1): the partition passes scatter input rows
+// lane-to-lane into per-partition ColBatch buffers (no row-major
+// partition buffers, no per-row tuple references), the join table
+// indexes rows of the build partition's lanes straight off its key lane,
+// and the serial join (second) phase gathers output lane-to-lane through
+// (build row, probe row) pair buffers. Spilled partitions write columnar
+// frames directly from the lanes and stream back as lane chunks — no
+// FromTuples/ToTuples pivot on the serial path.
 //
 // Partition assignment hashes the identical data.Value either way, so
 // the partition layout — and therefore the join's partition-clustered
-// output order — is byte-identical to the row passes. Estimator hooks
-// (per-tuple, span, worker-indexed) fire on the input batches before the
-// scatter, exactly as before, so estimates are bit-identical too.
+// output order — is byte-identical to the tuple path's passes. Estimator
+// hooks (per-tuple, then worker-indexed span) fire on the input batches
+// before the scatter, so estimates are bit-identical too.
 
-// SetColumnar selects the columnar partition passes, columnar spill
-// frames, and the columnar join output (NextColBatch). The passes are
-// serial — vectorized scatter replaces worker parallelism — and take
-// precedence over SetParallelism for the partition phase; the join
-// (second) phase still parallelizes per JoinWorkers.
-func (j *HashJoin) SetColumnar(on bool) *HashJoin {
-	j.colMode = on
-	return j
-}
-
-// Columnar reports whether the columnar partition passes are selected.
-func (j *HashJoin) Columnar() bool { return j.colMode }
-
-// colPassConfig describes one columnar partition pass (build or probe
-// side); the mirror of passConfig for the lane-native scatter.
+// colPassConfig describes one lane-native partition pass (build or
+// probe side).
 type colPassConfig struct {
 	child     Operator
 	keys      []int
 	tupleHook func(data.Tuple)
-	colHook   func(cb *data.ColBatch)
 	// colBatchHook is the worker-indexed span hook
 	// (OnBuildColBatch/OnProbeColBatch): fired by the owning scan worker
 	// under a morselized pass, by the single pass goroutine as worker 0
@@ -59,14 +45,14 @@ type colPassConfig struct {
 	keepNull bool
 }
 
-// partitionPhasesColumnar is partitionPhases driven ColBatch-at-a-time.
+// partitionPhasesColumnar is partitionPhases driven ColBatch-at-a-time:
+// the batched tier's partition passes.
 func (j *HashJoin) partitionPhasesColumnar() error {
 	j.initPartitions()
 	build := colPassConfig{
 		child:        j.build,
 		keys:         j.buildKeys,
 		tupleHook:    j.OnBuildTuple,
-		colHook:      j.OnBuildCol,
 		colBatchHook: j.OnBuildColBatch,
 		colParts:     j.buildColParts,
 		spill:        j.buildSpill,
@@ -86,7 +72,6 @@ func (j *HashJoin) partitionPhasesColumnar() error {
 		child:        j.probe,
 		keys:         j.probeKeys,
 		tupleHook:    j.OnProbeTuple,
-		colHook:      j.OnProbeCol,
 		colBatchHook: j.OnProbeColBatch,
 		colParts:     j.probeColParts,
 		spill:        j.probeSpill,
@@ -108,8 +93,7 @@ func (j *HashJoin) partitionPhasesColumnar() error {
 
 // partitionPassColumnar runs one partition pass over whole ColBatches —
 // morsel-driven when the child is an eligible scan, serial otherwise.
-// Per-tuple hooks fire in row order before the columnar hooks, matching
-// the hook ordering contract of the row passes.
+// Per-tuple hooks fire in row order before the worker-indexed span hook.
 func (j *HashJoin) partitionPassColumnar(cfg *colPassConfig) error {
 	if sc := j.morselScanOf(cfg.child); sc != nil {
 		return j.partitionPassColMorsel(cfg, sc)
@@ -138,9 +122,6 @@ func (j *HashJoin) partitionPassColumnar(cfg *colPassConfig) error {
 					cfg.tupleHook(rows[i])
 				}
 			}
-		}
-		if cfg.colHook != nil {
-			cfg.colHook(cb)
 		}
 		if cfg.colBatchHook != nil {
 			cfg.colBatchHook(0, cb)
@@ -192,7 +173,7 @@ func (j *HashJoin) scatterColBatch(cfg *colPassConfig, cb *data.ColBatch) error 
 // scatterIntKey is the vectorized scatter for a single homogeneous
 // integer key column: partition assignment reads the flat int64 lane and
 // hashes data.Int(v) — the exact Value JoinKeyOf would produce — so the
-// layout matches the row passes bit for bit.
+// layout matches the tuple path's passes bit for bit.
 func (j *HashJoin) scatterIntKey(cfg *colPassConfig, cb *data.ColBatch, kv *data.ColVec) error {
 	nparts := uint64(j.parts)
 	scatter := func(i int) error {
@@ -250,7 +231,6 @@ func (j *HashJoin) colPartitionAppend(cfg *colPassConfig, p int, src *data.ColBa
 	if err != nil {
 		return err
 	}
-	f.setColumnar()
 	if err := f.appendColAll(dst); err != nil {
 		f.close()
 		return err
@@ -559,10 +539,10 @@ func (j *HashJoin) gatherPairs(out *data.ColBatch) {
 	j.colPairP = j.colPairP[:0]
 }
 
-// advanceColRow is the row-output driver over the columnar join phase:
+// advanceColRow is the row-output driver over the lane-native join phase:
 // it produces one pair per call and materializes the output tuple from
-// the partition lanes into the row arena (Next/NextBatch in colMode, and
-// the NextColBatch hook fallback).
+// the partition lanes into the row arena (Next/NextBatch on the batched
+// tier, and the NextColBatch hook fallback).
 func (j *HashJoin) advanceColRow() (data.Tuple, error) {
 	j.drainColRetire()
 	var br, pr int32
@@ -583,40 +563,37 @@ func (j *HashJoin) advanceColRow() (data.Tuple, error) {
 // materializeColRow builds the output tuple for one pair out of the
 // current partition lanes, bump-allocated from the row arena.
 func (j *HashJoin) materializeColRow(br, pr int32) data.Tuple {
+	return j.pairRow(j.colBuild, j.colProbe, br, pr, &j.colRowArena)
+}
+
+// pairRow materializes the output row of one (build row, probe row) pair
+// from the given lanes, bump-allocated from arena: build ⧺ probe, the
+// probe row alone for semi/anti joins, NULL build columns for an outer
+// miss (br < 0).
+func (j *HashJoin) pairRow(build, probe *data.ColBatch, br, pr int32, arena *[]data.Value) data.Tuple {
 	pw := j.probe.Schema().Len()
-	probe := j.colProbe
-	if j.joinType == SemiJoin || j.joinType == AntiJoin {
-		out := j.colRowAlloc(pw)
-		for c := 0; c < pw; c++ {
-			out[c] = probe.Value(c, int(pr))
-		}
-		return out
+	bw := 0
+	if j.joinType == InnerJoin || j.joinType == ProbeOuterJoin {
+		bw = j.build.Schema().Len()
 	}
-	bw := j.build.Schema().Len()
-	out := j.colRowAlloc(bw + pw)
+	n := bw + pw
+	if len(*arena) < n {
+		*arena = make([]data.Value, n*data.BatchSize())
+	}
+	out := (*arena)[:n:n]
+	*arena = (*arena)[n:]
 	if br < 0 {
 		for c := range out[:bw] {
 			out[c] = data.Value{} // NULL-padded build side, as nullBuild
 		}
 	} else {
-		b := j.colBuild
 		for c := 0; c < bw; c++ {
-			out[c] = b.Value(c, int(br))
+			out[c] = build.Value(c, int(br))
 		}
 	}
 	for c := 0; c < pw; c++ {
 		out[bw+c] = probe.Value(c, int(pr))
 	}
-	return out
-}
-
-// colRowAlloc carves one output tuple from the columnar row arena.
-func (j *HashJoin) colRowAlloc(n int) data.Tuple {
-	if len(j.colRowArena) < n {
-		j.colRowArena = make([]data.Value, n*data.BatchSize())
-	}
-	out := j.colRowArena[:n:n]
-	j.colRowArena = j.colRowArena[n:]
 	return data.Tuple(out)
 }
 
@@ -662,15 +639,15 @@ func (j *HashJoin) releaseColParts() {
 // NextColBatch implements ColOperator: the join (second) pass gathers
 // output values directly into reused column lanes, one typed copy per
 // column per pair buffer. When a per-tuple output hook is attached
-// (progress monitors) or the parallel join phase is active, output falls
-// back to the row batch path — hooks see materialized tuples, parallel
-// drains stay row-oriented — and the rows are re-exposed columnar
-// without copying.
+// (progress monitors), the parallel join phase is active, or the join
+// runs the tuple path, output comes from the row batch path — hooks see
+// materialized tuples, parallel drains stay row-oriented — and the rows
+// are re-exposed columnar without copying.
 func (j *HashJoin) NextColBatch() (*data.ColBatch, error) {
 	if err := j.ensurePartitioned(); err != nil {
 		return nil, err
 	}
-	if j.joinPar != nil || j.OnOutput != nil {
+	if !j.Batched() || j.joinPar != nil || j.OnOutput != nil {
 		b, err := j.NextBatch()
 		if err != nil {
 			return nil, err

@@ -12,93 +12,74 @@ import (
 	"qpi/internal/vfs"
 )
 
-// Tests for the morsel-driven partition passes. Multiset equivalence
-// across all modes lives in joinmodes_test and internal/difftest; this
-// file pins the contracts around them: pass engagement and fallback
-// rules, the scan punctuation/stats contract under concurrent morsel
-// drains, cancellation mid-morsel, spill faults on the fallback path,
-// goroutine hygiene, and the batch-size knob race.
+// Tests for the morsel-driven partition passes of the batched tier.
+// Multiset equivalence across all modes lives in joinmodes_test and
+// internal/difftest; this file pins the contracts around them: pass
+// engagement and fallback rules, the scan punctuation/stats contract
+// under concurrent morsel drains, cancellation mid-morsel, spill faults
+// on the fallback path, goroutine hygiene, and the batch-size knob race.
 
-// morselJoin builds a join over two multi-block tables with morsel-driven
-// scans: single-block morsels so even these tables split into many
-// concurrent claims.
-func morselJoin(workers int, columnar bool, seed int64) *HashJoin {
+// morselJoin builds a batched join over two multi-block tables:
+// single-block morsels so even these tables split into many concurrent
+// claims.
+func morselJoin(workers int, seed int64) *HashJoin {
 	rng := rand.New(rand.NewSource(seed))
 	j := NewHashJoinMulti(
 		NewScan(kvTable("b", randKeys(rng, 400, 37, 0.15)), ""),
 		NewScan(kvTable("p", randKeys(rng, 600, 37, 0.15)), ""),
 		[]int{0}, []int{0}, InnerJoin,
 	)
-	j.SetParallelism(workers)
-	j.SetMorsel(true).SetMorselBlocks(1)
-	j.SetColumnar(columnar)
+	j.SetParallelism(workers).SetMorselBlocks(1)
 	return j
 }
 
-// TestMorselPassEngages: with morsel mode on and eligible scan children,
+// TestMorselPassEngages: with k ≥ 2 workers and eligible scan children,
 // both partition passes must actually run morselized (the scans end the
 // pass morsel-drained), the output must match the serial run's multiset,
-// and the worker-indexed batch hooks must collectively see every input
+// and the worker-indexed span hooks must collectively see every input
 // row with worker indexes inside [0, Workers).
 func TestMorselPassEngages(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(5))
-		build := randKeys(rng, 400, 37, 0.15)
-		probe := randKeys(rng, 600, 37, 0.15)
-		want := refJoin(build, probe, InnerJoin)
+	rng := rand.New(rand.NewSource(5))
+	build := randKeys(rng, 400, 37, 0.15)
+	probe := randKeys(rng, 600, 37, 0.15)
+	want := refJoin(build, probe, InnerJoin)
 
-		j := NewHashJoinMulti(
-			NewScan(kvTable("b", build), ""),
-			NewScan(kvTable("p", probe), ""),
-			[]int{0}, []int{0}, InnerJoin,
-		)
-		j.SetParallelism(3)
-		j.SetMorsel(true).SetMorselBlocks(1)
-		j.SetColumnar(columnar)
+	j := NewHashJoinMulti(
+		NewScan(kvTable("b", build), ""),
+		NewScan(kvTable("p", probe), ""),
+		[]int{0}, []int{0}, InnerJoin,
+	)
+	j.SetParallelism(3).SetMorselBlocks(1)
 
-		var buildSeen, probeSeen atomic.Int64
-		count := func(seen *atomic.Int64) func(int, *data.ColBatch) {
-			return func(w int, cb *data.ColBatch) {
-				if w < 0 || w >= j.Workers() {
-					t.Errorf("columnar hook fired with worker %d outside [0,%d)", w, j.Workers())
-				}
-				seen.Add(int64(cb.Live()))
+	var buildSeen, probeSeen atomic.Int64
+	count := func(seen *atomic.Int64) func(int, *data.ColBatch) {
+		return func(w int, cb *data.ColBatch) {
+			if w < 0 || w >= j.Workers() {
+				t.Errorf("span hook fired with worker %d outside [0,%d)", w, j.Workers())
 			}
+			seen.Add(int64(cb.Live()))
 		}
-		countRow := func(seen *atomic.Int64) func(int, data.Batch) {
-			return func(w int, b data.Batch) {
-				if w < 0 || w >= j.Workers() {
-					t.Errorf("batch hook fired with worker %d outside [0,%d)", w, j.Workers())
-				}
-				seen.Add(int64(len(b)))
-			}
-		}
-		if columnar {
-			j.OnBuildColBatch = count(&buildSeen)
-			j.OnProbeColBatch = count(&probeSeen)
-		} else {
-			j.OnBuildBatch = countRow(&buildSeen)
-			j.OnProbeBatch = countRow(&probeSeen)
-		}
+	}
+	j.OnBuildColBatch = count(&buildSeen)
+	j.OnProbeColBatch = count(&probeSeen)
 
-		equalMultisets(t, "morsel", drainMode(t, j, !columnar, columnar), want)
-		bs, ps := j.build.(*Scan), j.probe.(*Scan)
-		if !bs.morselDrained || !ps.morselDrained {
-			t.Fatalf("columnar=%v: morsel pass never engaged (build drained=%v probe drained=%v)",
-				columnar, bs.morselDrained, ps.morselDrained)
-		}
-		if buildSeen.Load() != 400 || probeSeen.Load() != 600 {
-			t.Fatalf("columnar=%v: worker hooks saw %d build / %d probe rows, want 400/600",
-				columnar, buildSeen.Load(), probeSeen.Load())
-		}
+	equalMultisets(t, "morsel", drainMode(t, j, true), want)
+	bs, ps := j.build.(*Scan), j.probe.(*Scan)
+	if !bs.morselDrained || !ps.morselDrained {
+		t.Fatalf("morsel pass never engaged (build drained=%v probe drained=%v)",
+			bs.morselDrained, ps.morselDrained)
+	}
+	if buildSeen.Load() != 400 || probeSeen.Load() != 600 {
+		t.Fatalf("worker hooks saw %d build / %d probe rows, want 400/600",
+			buildSeen.Load(), probeSeen.Load())
 	}
 }
 
 // TestMorselEligibility pins the fallback rules: sampled scans, memory
-// budgets, single workers, morsel mode off, and non-scan children must
+// budgets, single workers, the tuple path, and non-scan children must
 // all refuse to morselize.
 func TestMorselEligibility(t *testing.T) {
-	j := morselJoin(3, false, 1)
+	j := morselJoin(3, 1)
 	sc := j.build.(*Scan)
 	if j.morselScanOf(sc) == nil {
 		t.Fatal("eligible scan refused")
@@ -119,15 +100,13 @@ func TestMorselEligibility(t *testing.T) {
 	if j.morselScanOf(sc) != nil {
 		t.Fatal("single-worker join accepted")
 	}
+	j.SetParallelism(0)
+	if j.morselScanOf(sc) != nil {
+		t.Fatal("tuple-path join accepted")
+	}
 	j.SetParallelism(3)
 
-	j.SetMorsel(false)
-	if j.morselScanOf(sc) != nil {
-		t.Fatal("morsel mode off but scan accepted")
-	}
-	j.SetMorsel(true)
-
-	inner := morselJoin(3, false, 2)
+	inner := morselJoin(3, 2)
 	if j.morselScanOf(inner) != nil {
 		t.Fatal("non-scan child accepted")
 	}
@@ -139,33 +118,33 @@ func TestMorselEligibility(t *testing.T) {
 // done, OnSampleEnd never fired, and a stray post-pass Next/NextBatch
 // returns end-of-stream instead of re-emitting the table.
 func TestMorselScanPunctuationContract(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		j := morselJoin(4, columnar, 11)
+	for _, colDrain := range []bool{false, true} {
+		j := morselJoin(4, 11)
 		bs, ps := j.build.(*Scan), j.probe.(*Scan)
 		sampleEnds := 0
 		bs.OnSampleEnd = func() { sampleEnds++ }
 		ps.OnSampleEnd = func() { sampleEnds++ }
-		drainMode(t, j, !columnar, columnar)
+		drainMode(t, j, colDrain)
 
 		for _, sc := range []*Scan{bs, ps} {
 			if got, want := sc.Stats().Emitted.Load(), sc.Stats().InputTotal; got != want {
-				t.Fatalf("columnar=%v: %s emitted %d, input total %d", columnar, sc.Name(), got, want)
+				t.Fatalf("colDrain=%v: %s emitted %d, input total %d", colDrain, sc.Name(), got, want)
 			}
 			if !sc.Stats().IsDone() {
-				t.Fatalf("columnar=%v: %s not done after morsel pass", columnar, sc.Name())
+				t.Fatalf("colDrain=%v: %s not done after morsel pass", colDrain, sc.Name())
 			}
 			if sc.Stats().Batches.Load() == 0 {
-				t.Fatalf("columnar=%v: %s recorded no batches", columnar, sc.Name())
+				t.Fatalf("colDrain=%v: %s recorded no batches", colDrain, sc.Name())
 			}
 			if tu, err := sc.Next(); err != nil || tu != nil {
-				t.Fatalf("columnar=%v: post-pass Next = (%v, %v), want (nil, nil)", columnar, tu, err)
+				t.Fatalf("colDrain=%v: post-pass Next = (%v, %v), want (nil, nil)", colDrain, tu, err)
 			}
 			if b, err := sc.NextBatch(); err != nil || b != nil {
-				t.Fatalf("columnar=%v: post-pass NextBatch = (%v, %v), want (nil, nil)", columnar, b, err)
+				t.Fatalf("colDrain=%v: post-pass NextBatch = (%v, %v), want (nil, nil)", colDrain, b, err)
 			}
 		}
 		if sampleEnds != 0 {
-			t.Fatalf("columnar=%v: OnSampleEnd fired %d times on sequential scans", columnar, sampleEnds)
+			t.Fatalf("colDrain=%v: OnSampleEnd fired %d times on sequential scans", colDrain, sampleEnds)
 		}
 	}
 }
@@ -175,9 +154,9 @@ func TestMorselScanPunctuationContract(t *testing.T) {
 // and every scan worker must be reaped. (The Cancel prefix places this
 // in the leakcheck suite.)
 func TestCancelMidMorselScan(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
+	for _, colDrain := range []bool{false, true} {
 		before := runtime.NumGoroutine()
-		j := morselJoin(4, columnar, 23)
+		j := morselJoin(4, 23)
 		ctx, cancel := context.WithCancel(context.Background())
 		n := 0
 		j.probe.(*Scan).OnTuple = func(data.Tuple) {
@@ -189,10 +168,10 @@ func TestCancelMidMorselScan(t *testing.T) {
 		}
 		Bind(j, ctx)
 		var err error
-		if columnar {
+		if colDrain {
 			err = drainColErr(j)
 		} else {
-			_, err = RunBatch(j)
+			_, err = Run(j)
 		}
 		cancel()
 		expectCanceled(t, err)
@@ -212,18 +191,18 @@ func drainColErr(j *HashJoin) error {
 	return err
 }
 
-// TestSpillFaultMorselFallback: a morsel-enabled join with a memory
-// budget falls back to the serial scatter (spill accounting is
+// TestSpillFaultMorselFallback: a multi-worker join with a memory budget
+// falls back to the serial scatter (spill accounting is
 // single-threaded); injected write faults during that scatter must
-// surface cleanly with every descriptor closed — the morsel knob must
+// surface cleanly with every descriptor closed — the worker count must
 // not disturb the spill fault paths.
 func TestSpillFaultMorselFallback(t *testing.T) {
 	before := runtime.NumGoroutine()
 	fs := vfs.NewFaultFS(nil).FailAt(vfs.OpWrite, 1)
-	j := morselJoin(4, false, 29)
+	j := morselJoin(4, 29)
 	j.SetMemoryBudget(512)
 	j.SetSpillFS(fs)
-	_, err := RunBatch(j)
+	_, err := RunCol(j)
 	expectInjectedIO(t, fs, err)
 	expectNoExtraGoroutines(t, before)
 }
@@ -232,9 +211,9 @@ func TestSpillFaultMorselFallback(t *testing.T) {
 // behind (the Leak suffix places this in the leakcheck suite).
 func TestMorselLeakOnCleanRun(t *testing.T) {
 	before := runtime.NumGoroutine()
-	for _, columnar := range []bool{false, true} {
-		j := morselJoin(4, columnar, 41)
-		drainMode(t, j, !columnar, columnar)
+	for _, colDrain := range []bool{false, true} {
+		j := morselJoin(4, 41)
+		drainMode(t, j, colDrain)
 	}
 	expectNoExtraGoroutines(t, before)
 }
@@ -261,8 +240,8 @@ func TestBatchSizeKnobStartRace(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 4; i++ {
-		j := morselJoin(3, i%2 == 1, int64(50+i))
-		drainMode(t, j, i%2 == 0, i%2 == 1)
+		j := morselJoin(3, int64(50+i))
+		drainMode(t, j, i%2 == 1)
 	}
 	close(stop)
 	wg.Wait()

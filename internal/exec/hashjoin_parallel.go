@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 
@@ -12,14 +13,14 @@ import (
 // grace hash join. After the partition passes the P partitions are fully
 // independent, so JoinWorkers() goroutines claim contiguous partition
 // ranges in ascending order from an atomic counter (see
-// joinAffinitySpan); each worker builds its partitions' hash tables
-// (reusing one worker-private joinTable across the partitions it
-// processes), streams each partition's probe rows — from the in-memory
-// buffer or back from its spill file — and emits output batches into a
-// bounded per-partition queue. Next/NextBatch drain the queues strictly
-// in partition order, so the output is byte-for-byte the serial join's
-// clustered output, and all hooks (OnOutput), Stats writes and trace
-// spans still fire on the single consumer goroutine.
+// joinAffinitySpan); each worker builds its partitions' lane-native hash
+// tables (reusing one worker-private colJoinTable across the partitions
+// it processes), streams each partition's probe rows — from the
+// partition's lanes or back from its spill frames — and emits output row
+// batches into a bounded per-partition queue. Next/NextBatch drain the
+// queues strictly in partition order, so the output is byte-for-byte the
+// serial join's clustered output, and all hooks (OnOutput), Stats writes
+// and trace spans still fire on the single consumer goroutine.
 //
 // Why this cannot deadlock: ranges are claimed in ascending order, a
 // worker processes its range's partitions in ascending order, and the
@@ -137,8 +138,8 @@ func (j *HashJoin) startParallelJoin() {
 		st.wg.Add(1)
 		go func() {
 			defer st.wg.Done()
-			var jt joinTable
-			var arena []data.Value
+			var jw joinWorker
+			defer jw.release()
 			for {
 				r := int(next.Add(1) - 1)
 				if r >= nRanges {
@@ -150,7 +151,7 @@ func (j *HashJoin) startParallelJoin() {
 				}
 				for p := r * span; p < hi; p++ {
 					out := &st.res[p]
-					out.err = j.joinOnePartition(p, &jt, &arena, out, st.stop)
+					out.err = j.joinOnePartition(p, &jw, out, st.stop)
 					close(out.ch)
 					if out.err != nil {
 						// The consumer will stop at this partition; stop
@@ -163,51 +164,55 @@ func (j *HashJoin) startParallelJoin() {
 	}
 }
 
+// joinWorker is one join-phase worker's private state, reused across
+// the partitions it claims: the lane-native build table, the key scratch
+// tuple, the output row arena and the decode buffer for spilled probe
+// frames.
+type joinWorker struct {
+	tab     colJoinTable
+	scratch data.Tuple
+	arena   []data.Value
+	dec     *data.ColBatch
+}
+
+func (w *joinWorker) release() {
+	if w.dec != nil {
+		data.PutColBatch(w.dec)
+		w.dec = nil
+	}
+}
+
 // joinOnePartition builds partition p's table and streams its probe rows
 // through it, sending output batches on out.ch. Runs on a worker
-// goroutine: it touches only partition-p state (buildParts[p],
-// probeParts[p], the two spill slots) plus worker-private jt/arena, and
+// goroutine: it touches only partition-p state (buildColParts[p],
+// probeColParts[p], the two spill slots) plus its joinWorker, and
 // reports probe consumption via out.probes.
-func (j *HashJoin) joinOnePartition(p int, jt *joinTable, arena *[]data.Value,
-	out *partStream, stop <-chan struct{}) error {
-	var buildTuples []data.Tuple
-	if j.colMode {
-		// Lane-native partitions: materialize the partition's lanes into
-		// row tuples for the row-oriented parallel drain (a difftest-only
-		// crossing — the perf-gated columnar path runs the serial join
-		// phase's lane-to-lane gather).
-		if cp := j.buildColParts[p]; cp != nil {
-			j.buildColParts[p] = nil
-			buildTuples = cp.ToTuples(nil)
-			data.PutColBatch(cp)
-		}
-	} else {
-		buildTuples = j.buildParts[p]
-	}
+//
+// The worker reads the partition's lanes (or spill frames) directly —
+// the build table indexes build lane rows, probe keys come off the probe
+// key lane — and materializes only the output rows, into its arena, as
+// row batches for the in-order drain.
+func (j *HashJoin) joinOnePartition(p int, w *joinWorker, out *partStream, stop <-chan struct{}) error {
+	// The partition's lanes are left to the collector rather than
+	// returned to the ColBatch pool: the pool keeps what every query puts
+	// back live across queries, and partition-sized lanes retained that
+	// way raised peak RSS by about a third on the olap-batch workload.
+	build := j.buildColParts[p]
+	j.buildColParts[p] = nil
 	if f := j.buildSpill[p]; f != nil {
-		var err error
-		buildTuples, err = f.readAll()
+		build = new(data.ColBatch)
+		err := f.readAllCol(build)
 		j.buildSpill[p] = nil
-		cerr := f.close()
+		if cerr := f.close(); err == nil {
+			err = cerr
+		}
 		if err != nil {
 			return err
 		}
-		if cerr != nil {
-			return cerr
-		}
 	}
-	jt.build(buildTuples, j.buildKeys)
-	var memProbe []data.Tuple
-	if j.colMode {
-		if pp := j.probeColParts[p]; pp != nil {
-			j.probeColParts[p] = nil
-			memProbe = pp.ToTuples(nil)
-			data.PutColBatch(pp)
-		}
-	} else {
-		j.buildParts[p] = nil
-		memProbe = j.probeParts[p]
-	}
+	w.tab.build(build, j.buildKeys, &w.scratch)
+	memProbe := j.probeColParts[p]
+	j.probeColParts[p] = nil
 	var pf *spillFile
 	if f := j.probeSpill[p]; f != nil {
 		if err := f.startRead(); err != nil {
@@ -216,6 +221,9 @@ func (j *HashJoin) joinOnePartition(p int, jt *joinTable, arena *[]data.Value,
 			return err
 		}
 		pf = f
+		if w.dec == nil {
+			w.dec = data.GetColBatch()
+		}
 	}
 	closeProbe := func() error {
 		if pf == nil {
@@ -226,8 +234,8 @@ func (j *HashJoin) joinOnePartition(p int, jt *joinTable, arena *[]data.Value,
 	}
 
 	batch := getBatch()
-	emit := func(t data.Tuple) bool {
-		batch = append(batch, t)
+	emit := func(br, pr int32, probe *data.ColBatch) bool {
+		batch = append(batch, j.pairRow(build, probe, br, pr, &w.arena))
 		if len(batch) < cap(batch) {
 			return true
 		}
@@ -239,92 +247,93 @@ func (j *HashJoin) joinOnePartition(p int, jt *joinTable, arena *[]data.Value,
 			return false
 		}
 	}
-	concat := func(a, b data.Tuple) data.Tuple {
-		n := len(a) + len(b)
-		if len(*arena) < n {
-			*arena = make([]data.Value, n*data.BatchSize())
-		}
-		o := (*arena)[:n:n]
-		*arena = (*arena)[n:]
-		copy(o, a)
-		copy(o[len(a):], b)
-		return data.Tuple(o)
-	}
 
 	var tick uint32
-	cursor := 0
-	for {
-		// Amortized cancellation/stop poll, mirroring base.pollCtx but on
-		// worker-private state.
-		if tick++; tick&127 == 0 {
-			select {
-			case <-stop:
-				closeProbe()
-				return nil // torn down; the consumer already has its error
-			default:
+	// joinChunk streams one dense probe chunk (the partition's lanes or
+	// one decoded spill frame) through the table. It returns false when
+	// the phase is torn down or the context expired (err set).
+	joinChunk := func(probe *data.ColBatch) (bool, error) {
+		var kv *data.ColVec
+		if len(j.probeKeys) == 1 {
+			if v := probe.Col(j.probeKeys[0]); v.Homogeneous() && v.Kind == data.KindInt {
+				kv = v
 			}
-			if j.ctx != nil {
-				if err := j.ctx.Err(); err != nil {
-					closeProbe()
-					return err
+		}
+		for i := 0; i < probe.NRows; i++ {
+			// Amortized cancellation/stop poll, mirroring base.pollCtx but
+			// on worker-private state.
+			if tick++; tick&127 == 0 {
+				select {
+				case <-stop:
+					return false, nil // torn down; the consumer already has its error
+				default:
+				}
+				if j.ctx != nil {
+					if err := j.ctx.Err(); err != nil {
+						return false, err
+					}
+				}
+			}
+			out.probes++
+			var matches []int32
+			if kv != nil {
+				if !kv.Nulls.Get(i) {
+					matches = w.tab.lookupInt(kv.Ints[i])
+				}
+			} else if k := colJoinKeyAt(probe, j.probeKeys, i, &w.scratch); !k.IsNull() {
+				matches = w.tab.lookup(k)
+			}
+			pr := int32(i)
+			switch j.joinType {
+			case SemiJoin:
+				if len(matches) > 0 && !emit(colPairProbeOnly, pr, probe) {
+					return false, nil
+				}
+			case AntiJoin:
+				if len(matches) == 0 && !emit(colPairProbeOnly, pr, probe) {
+					return false, nil
+				}
+			case ProbeOuterJoin:
+				if len(matches) == 0 {
+					if !emit(colPairNullBuild, pr, probe) {
+						return false, nil
+					}
+					continue
+				}
+				fallthrough
+			default:
+				for _, m := range matches {
+					if !emit(m, pr, probe) {
+						return false, nil
+					}
 				}
 			}
 		}
-		var t data.Tuple
-		if pf != nil {
-			var err error
-			t, err = pf.next()
-			if err != nil {
-				closeProbe()
-				return err
-			}
-		} else if cursor < len(memProbe) {
-			t = memProbe[cursor]
-			cursor++
+		return true, nil
+	}
+
+	if memProbe != nil {
+		if ok, err := joinChunk(memProbe); !ok {
+			closeProbe()
+			return err
 		}
-		if t == nil {
+	}
+	for pf != nil {
+		err := pf.nextColFrame(w.dec)
+		if err == io.EOF {
 			break
 		}
-		out.probes++
-		key := JoinKeyOf(t, j.probeKeys)
-		var matches []data.Tuple
-		if !key.IsNull() {
-			matches = jt.lookup(key)
+		if err != nil {
+			closeProbe()
+			return err
 		}
-		switch j.joinType {
-		case SemiJoin:
-			if len(matches) > 0 && !emit(t) {
-				closeProbe()
-				return nil
-			}
-		case AntiJoin:
-			if len(matches) == 0 && !emit(t) {
-				closeProbe()
-				return nil
-			}
-		case ProbeOuterJoin:
-			if len(matches) == 0 {
-				if !emit(concat(j.nullBuild, t)) {
-					closeProbe()
-					return nil
-				}
-				continue
-			}
-			fallthrough
-		default:
-			for _, m := range matches {
-				if !emit(concat(m, t)) {
-					closeProbe()
-					return nil
-				}
-			}
+		if ok, err := joinChunk(w.dec); !ok {
+			closeProbe()
+			return err
 		}
 	}
 	if err := closeProbe(); err != nil {
 		return err
-	}
-	if !j.colMode {
-		j.probeParts[p] = nil
 	}
 	if len(batch) > 0 {
 		select {

@@ -23,7 +23,7 @@ import (
 // partition contents on any GOMAXPROCS; the join phase still fans out
 // (JoinWorkers is not budget-gated).
 
-// drainExact pulls every output row in order, via Next or NextBatch,
+// drainExact pulls every output row in order, via Next or NextColBatch,
 // copying tuples out of reused batch buffers.
 func drainExact(t *testing.T, j *HashJoin, batched bool) []string {
 	t.Helper()
@@ -32,18 +32,12 @@ func drainExact(t *testing.T, j *HashJoin, batched bool) []string {
 	}
 	var out []string
 	if batched {
-		in := AsBatch(j)
-		for {
-			b, err := in.NextBatch()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(b) == 0 {
-				break
-			}
-			for _, tu := range b {
-				out = append(out, tu.String())
-			}
+		rows, err := DrainCol(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tu := range rows {
+			out = append(out, tu.String())
 		}
 	} else {
 		for {
@@ -174,7 +168,7 @@ func TestCancelParallelJoinPhase(t *testing.T) {
 		Bind(j, ctx)
 		var err error
 		if batched {
-			_, err = RunBatch(j)
+			_, err = RunCol(j)
 		} else {
 			_, err = Run(j)
 		}
@@ -217,7 +211,7 @@ func TestSpillFaultParallelJoinWorkers(t *testing.T) {
 			fs := vfs.NewFaultFS(nil).FailAt(op, 1)
 			j := joinUnderTest(InnerJoin, 512, 4, 17)
 			j.SetSpillFS(fs)
-			_, err := RunBatch(j)
+			_, err := RunCol(j)
 			expectInjectedIO(t, fs, err)
 			if fs.Count(op) == 0 {
 				t.Fatalf("join never issued a %s; fault not exercised", op)

@@ -12,8 +12,8 @@ import (
 )
 
 // Differential tests for the join operators themselves: every physical
-// join and every execution mode (tuple, batch, parallel partition pass,
-// forced spill) must produce the same multiset as a naive reference join
+// join and every execution mode (tuple, batched tier at one and three
+// workers, morsel passes, forced spill) must produce the same multiset as a naive reference join
 // written from first principles. Unlike internal/difftest this layer has
 // no plan generator and no estimators — it isolates operator semantics.
 
@@ -114,19 +114,18 @@ func sortedStrings(rows []data.Tuple) []string {
 	return out
 }
 
-func drainMode(t *testing.T, op Operator, batched, columnar bool) []data.Tuple {
+// drainMode drains op through its columnar path (the batched tier's root
+// driver) or tuple-at-a-time.
+func drainMode(t *testing.T, op Operator, columnar bool) []data.Tuple {
 	t.Helper()
 	if err := op.Open(); err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	var rows []data.Tuple
 	var err error
-	switch {
-	case columnar:
+	if columnar {
 		rows, err = DrainCol(AsColOperator(op))
-	case batched:
-		rows, err = DrainBatch(AsBatch(op))
-	default:
+	} else {
 		rows, err = Drain(op)
 	}
 	if err != nil {
@@ -165,9 +164,10 @@ func randKeys(rng *rand.Rand, n, dom int, nullFrac float64) []int64 {
 	return out
 }
 
-// checkHashJoinModes runs one (build, probe, type) input through tuple,
-// batch, parallel, forced-spill, columnar and columnar-spill execution
-// and compares each against the reference.
+// checkHashJoinModes runs one (build, probe, type) input through the
+// tuple path (in memory and forced-spill) and the batched tier (one
+// worker, one worker spilling, three workers, three workers over
+// single-block morsels) and compares each against the reference.
 func checkHashJoinModes(t *testing.T, build, probe []int64, jt JoinType) {
 	t.Helper()
 	checkHashJoinModesKeyed(t, build, probe, jt, false)
@@ -184,21 +184,17 @@ func checkHashJoinModesKeyed(t *testing.T, build, probe []int64, jt JoinType, st
 	t.Helper()
 	want := refJoinKeyed(build, probe, jt, str)
 	modes := []struct {
-		name     string
-		batched  bool
-		columnar bool
-		morsel   bool
-		workers  int
-		budget   int64
+		name    string
+		morsel  bool
+		workers int
+		budget  int64
 	}{
 		{name: "tuple"},
-		{name: "batch", batched: true, workers: 1},
-		{name: "parallel", batched: true, workers: 3},
 		{name: "spill", budget: 128},
-		{name: "columnar", columnar: true},
-		{name: "columnar-spill", columnar: true, budget: 128},
-		{name: "morsel", batched: true, morsel: true, workers: 3},
-		{name: "columnar-morsel", columnar: true, morsel: true, workers: 3},
+		{name: "columnar", workers: 1},
+		{name: "columnar-spill", workers: 1, budget: 128},
+		{name: "parallel", workers: 3},
+		{name: "columnar-morsel", morsel: true, workers: 3},
 	}
 	for _, m := range modes {
 		var bsrc Operator = NewScan(kvTableKeyed("b", build, str), "")
@@ -223,15 +219,12 @@ func checkHashJoinModesKeyed(t *testing.T, build, probe []int64, jt JoinType, st
 		if m.budget > 0 {
 			j.SetMemoryBudget(m.budget)
 		}
-		if m.columnar {
-			j.SetColumnar(true)
-		}
 		if m.morsel {
 			// Single-block morsels force many concurrent claims even on
 			// these small tables.
-			j.SetMorsel(true).SetMorselBlocks(1)
+			j.SetMorselBlocks(1)
 		}
-		equalMultisets(t, jt.String()+"/"+m.name, drainMode(t, j, m.batched, m.columnar), want)
+		equalMultisets(t, jt.String()+"/"+m.name, drainMode(t, j, m.workers > 0), want)
 		if m.budget > 0 && j.Stats().SpillFiles.Load() == 0 {
 			t.Errorf("%s/%s: no spill files created", jt, m.name)
 		}
@@ -292,7 +285,7 @@ func TestMergeJoinTupleBatchEquivalence(t *testing.T) {
 			if batched {
 				label = "merge/batch"
 			}
-			equalMultisets(t, label, drainMode(t, mj, batched, false), want)
+			equalMultisets(t, label, drainMode(t, mj, batched), want)
 		}
 	}
 }
@@ -315,7 +308,7 @@ func TestNLJoinTupleBatchEquivalence(t *testing.T) {
 			if batched {
 				label = "nl/batch"
 			}
-			equalMultisets(t, label, drainMode(t, nl, batched, false), want)
+			equalMultisets(t, label, drainMode(t, nl, batched), want)
 		}
 	}
 }

@@ -37,22 +37,16 @@ type spillFile struct {
 	ncols int
 	rows  int64
 
-	// Columnar frame mode (setColumnar): append buffers tuples and
-	// flushes them to disk as columnar frames of up to colFrameRows rows
-	// (data.EncodeColFrame); next decodes one frame at a time and serves
-	// its rows sequentially. The scratch ColBatches are pooled.
-	col     bool
-	pending data.Batch
-	enc     *data.ColBatch
-	dec     *data.ColBatch
-	decRows data.Batch
-	decPos  int
-
-	// Lane-native appends (appendColRow/appendColAll) buffer rows in pcol
+	// Columnar frame files, written by the batched tier's partitions:
+	// lane-native appends (appendColRow/appendColAll) buffer rows in pcol
 	// — a pooled lane batch filled by typed lane-to-lane copies, no tuple
-	// materialization — and flush it as columnar frames. selWin is the
-	// selection-window scratch for chunking a whole partition dump.
+	// materialization — and flush it as columnar frames
+	// (data.EncodeColFrame); readers decode whole frames
+	// (nextColFrame, or readAllCol through the pooled dec scratch).
+	// selWin is the selection-window scratch for chunking a whole
+	// partition dump. Row-codec files (append/next) leave these nil.
 	pcol   *data.ColBatch
+	dec    *data.ColBatch
 	selWin []int32
 }
 
@@ -61,10 +55,6 @@ type spillFile struct {
 // length, small enough that a partially filled partition flushes
 // promptly.
 const colFrameRows = 256
-
-// setColumnar switches the file to the columnar frame format; must be
-// called before the first append.
-func (s *spillFile) setColumnar() { s.col = true }
 
 // newSpillFile creates a spill file in the default temp directory via fs
 // (nil = the real filesystem).
@@ -84,36 +74,14 @@ func newSpillFile(fs vfs.FS, ncols int) (*spillFile, error) {
 	return &spillFile{f: f, w: w, ncols: ncols}, nil
 }
 
-// append writes one tuple (columnar mode: buffers it toward the next
-// frame flush).
+// append writes one tuple in the row codec.
 func (s *spillFile) append(t data.Tuple) error {
 	s.rows++
-	if !s.col {
-		return data.EncodeTuple(s.w, t)
-	}
-	s.pending = append(s.pending, t)
-	if len(s.pending) >= colFrameRows {
-		return s.flushFrame()
-	}
-	return nil
-}
-
-// flushFrame writes the buffered tuples as one columnar frame.
-func (s *spillFile) flushFrame() error {
-	if len(s.pending) == 0 {
-		return nil
-	}
-	if s.enc == nil {
-		s.enc = data.GetColBatch()
-	}
-	s.enc.SetRows(s.pending, s.ncols)
-	err := data.EncodeColFrame(s.w, s.enc)
-	s.pending = s.pending[:0]
-	return err
+	return data.EncodeTuple(s.w, t)
 }
 
 // appendColRow writes one row of src lane-to-lane toward the next frame
-// flush (columnar mode only).
+// flush.
 func (s *spillFile) appendColRow(src *data.ColBatch, i int) error {
 	s.rows++
 	if s.pcol == nil {
@@ -209,16 +177,10 @@ func (s *spillFile) releaseBuffers() {
 
 // startRead flushes writes and rewinds for iteration.
 func (s *spillFile) startRead() error {
-	if s.col && s.w != nil {
-		if err := s.flushFrame(); err != nil {
-			return err
-		}
-		s.pending = nil
+	if s.w != nil {
 		if err := s.flushColLanes(); err != nil {
 			return err
 		}
-	}
-	if s.w != nil {
 		err := s.w.Flush()
 		s.w.Reset(nil)
 		spillWriterPool.Put(s.w)
@@ -235,37 +197,13 @@ func (s *spillFile) startRead() error {
 	return nil
 }
 
-// next returns the next tuple, or (nil, nil) at end of file.
+// next returns the next row-codec tuple, or (nil, nil) at end of file.
 func (s *spillFile) next() (data.Tuple, error) {
-	if s.col {
-		return s.nextCol()
-	}
 	t, err := data.DecodeTuple(s.r, s.ncols)
 	if err == io.EOF {
 		return nil, nil
 	}
 	return t, err
-}
-
-// nextCol serves tuples out of decoded columnar frames.
-func (s *spillFile) nextCol() (data.Tuple, error) {
-	for s.decPos >= len(s.decRows) {
-		if s.dec == nil {
-			s.dec = data.GetColBatch()
-		}
-		err := data.DecodeColFrame(s.r, s.ncols, s.dec)
-		if err == io.EOF {
-			return nil, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.decRows = s.dec.ToTuples(s.decRows[:0])
-		s.decPos = 0
-	}
-	t := s.decRows[s.decPos]
-	s.decPos++
-	return t, nil
 }
 
 // readAll materializes the remaining tuples.
@@ -291,10 +229,6 @@ func (s *spillFile) close() error {
 	if s.f == nil {
 		return nil
 	}
-	if s.enc != nil {
-		data.PutColBatch(s.enc)
-		s.enc = nil
-	}
 	if s.dec != nil {
 		data.PutColBatch(s.dec)
 		s.dec = nil
@@ -303,7 +237,6 @@ func (s *spillFile) close() error {
 		data.PutColBatch(s.pcol)
 		s.pcol = nil
 	}
-	s.pending, s.decRows = nil, nil
 	s.releaseBuffers()
 	err := s.f.Close()
 	s.f = nil

@@ -188,10 +188,12 @@ func TestBudgetedSortMergeJoinMatches(t *testing.T) {
 	}
 }
 
-// TestSpilledJoinBatchedMatchesTuple runs the same budgeted join in tuple
-// mode and batch mode (SetParallelism forces the batched passes; the
-// budget forces them serial so spill accounting stays single-threaded) and
-// demands identical results, stats and hook counts.
+// TestSpilledJoinBatchedMatchesTuple runs the same budgeted join on the
+// tuple path and the batched tier (SetParallelism selects the lane-native
+// passes; the budget forces them serial so spill accounting stays
+// single-threaded, and the columnar spill frames flow back through the
+// partition-parallel join phase) and demands identical results, stats
+// and hook counts.
 func TestSpilledJoinBatchedMatchesTuple(t *testing.T) {
 	a := randTable("a", 3000, 100, 31)
 	b := randTable("b", 4000, 100, 32)
@@ -219,7 +221,7 @@ func TestSpilledJoinBatchedMatchesTuple(t *testing.T) {
 		}
 		var err error
 		if workers > 0 {
-			r.rows, err = DrainBatch(j)
+			r.rows, err = DrainCol(j)
 		} else {
 			r.rows, err = Drain(j)
 		}

@@ -60,7 +60,7 @@ func TestSpillFaultHashJoinBatched(t *testing.T) {
 			j.SetMemoryBudget(16 * 1024)
 			j.SetParallelism(4) // budget keeps the passes serial
 			j.SetSpillFS(fs)
-			_, err := RunBatch(j)
+			_, err := RunCol(j)
 			expectInjectedIO(t, fs, err)
 		})
 	}

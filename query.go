@@ -3,6 +3,7 @@ package qpi
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -125,15 +126,17 @@ func WithSpillFS(fs SpillFS) CompileOption {
 	return func(c *compileCfg) { c.spillFS = fs }
 }
 
-// WithBatchExecution switches the plan to batch-at-a-time execution:
-// operators move ~1024-tuple batches per call, hash joins run their grace
-// partition passes over whole batches with `workers` parallel scatter
-// workers (capped at GOMAXPROCS; 1 = batched but serial), and the online
-// estimators observe through per-worker histogram shards merged at the
-// pass barriers. Results and converged estimates are identical to the
-// default tuple-at-a-time mode; under a memory budget the passes stay
-// serial so spill accounting is single-threaded. workers < 1 is treated
-// as 1.
+// WithBatchExecution compiles the plan for the batched tier: hash joins
+// run lane-native partition passes — morsel-driven scans with `workers`
+// scan workers where a pass reads a base table and workers ≥ 2, a
+// serial vectorized scatter otherwise — followed, for workers ≥ 2, by a
+// partition-parallel join phase, and Run and Rows drive the plan root
+// column-batch-at-a-time. workers is capped at GOMAXPROCS when the plan
+// compiles; workers < 1 is treated as 1. The online estimators observe
+// through per-worker histogram shards merged at the pass barriers, so
+// results and converged estimates are identical to the default
+// tuple-at-a-time mode. Under a memory budget the partition passes stay
+// serial so spill accounting is single-threaded.
 func WithBatchExecution(workers int) CompileOption {
 	if workers < 1 {
 		workers = 1
@@ -149,6 +152,9 @@ type Query struct {
 	att     *core.Attachment
 	cfg     compileCfg
 	started atomic.Bool
+	// batched reports that some hash join runs the batched tier, so the
+	// root is driven through NextColBatch (see drive).
+	batched bool
 
 	// labels pins each operator's EXPLAIN-style label at compile time.
 	// Join labels are derived from live child schemas, so a mid-query
@@ -177,12 +183,12 @@ func (q *Query) claim() error {
 	return nil
 }
 
-// execRun drives a query's plan to completion (shared by Run and Start),
-// through the batch path when batch execution was compiled in. The
-// context is bound to every operator before Open, so cancellation or
-// deadline expiry unwinds the plan within one batch of work; the monitor
-// is left in the matching terminal state.
-func execRun(ctx context.Context, q *Query) (int64, error) {
+// execRun drives a query's plan to completion (shared by Run, Rows and
+// Start), handing each output row to emit when non-nil. The context is
+// bound to every operator before Open, so cancellation or deadline
+// expiry unwinds the plan within one batch of work; the monitor is left
+// in the matching terminal state.
+func execRun(ctx context.Context, q *Query, emit func(row []any)) (int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -193,14 +199,98 @@ func execRun(ctx context.Context, q *Query) (int64, error) {
 	var n int64
 	err := ctx.Err()
 	if err == nil {
-		if q.cfg.batchWorkers > 0 {
-			n, err = exec.RunBatch(exec.AsBatch(q.root))
-		} else {
-			n, err = exec.Run(q.root)
-		}
+		n, err = q.drive(emit)
 	}
 	q.monitor.Finish(err)
 	return n, err
+}
+
+// drive opens, drains and closes the plan root — through NextColBatch on
+// the batched tier, tuple-at-a-time otherwise — and returns the output
+// row count. Run and Rows share it, so both execute the same engine and
+// leave the same counters behind.
+func (q *Query) drive(emit func(row []any)) (int64, error) {
+	if err := q.root.Open(); err != nil {
+		return 0, err
+	}
+	var n int64
+	var err error
+	if q.batched {
+		n, err = driveCol(exec.AsColOperator(q.root), emit)
+	} else {
+		n, err = driveTuples(q.root, emit)
+	}
+	if cerr := q.root.Close(); err == nil {
+		err = cerr
+	}
+	return n, err
+}
+
+// driveCol drains an opened root column-batch-at-a-time, building rows
+// for emit straight from the lanes.
+func driveCol(root exec.ColOperator, emit func(row []any)) (int64, error) {
+	var n int64
+	for {
+		cb, err := root.NextColBatch()
+		if err != nil || cb == nil {
+			return n, err
+		}
+		n += int64(cb.Live())
+		if emit == nil {
+			continue
+		}
+		row := func(i int) {
+			out := make([]any, cb.Width())
+			for c := range out {
+				out[c] = anyOf(cb.Value(c, i))
+			}
+			emit(out)
+		}
+		if cb.Sel == nil {
+			for i := 0; i < cb.NRows; i++ {
+				row(i)
+			}
+		} else {
+			for _, i := range cb.Sel {
+				row(int(i))
+			}
+		}
+	}
+}
+
+// driveTuples drains an opened root tuple-at-a-time.
+func driveTuples(root exec.Operator, emit func(row []any)) (int64, error) {
+	var n int64
+	for {
+		t, err := root.Next()
+		if err != nil || t == nil {
+			return n, err
+		}
+		n++
+		if emit == nil {
+			continue
+		}
+		out := make([]any, len(t))
+		for c, v := range t {
+			out[c] = anyOf(v)
+		}
+		emit(out)
+	}
+}
+
+// anyOf converts one value to its public row representation: int64,
+// float64, string, or nil.
+func anyOf(v data.Value) any {
+	switch v.Kind {
+	case data.KindInt:
+		return v.I
+	case data.KindFloat:
+		return v.F
+	case data.KindString:
+		return v.S
+	default:
+		return nil
+	}
 }
 
 // Compile seeds optimizer estimates, attaches the online estimation
@@ -244,17 +334,28 @@ func (e *Engine) Compile(n *Node, opts ...CompileOption) (*Query, error) {
 			}
 		})
 	}
-	if cfg.batchWorkers > 0 {
-		// Before Attach, so the estimators see the batched joins and
-		// install sharded batch hooks instead of per-tuple hooks.
-		exec.Walk(n.op, func(op exec.Operator) {
-			if j, ok := op.(*exec.HashJoin); ok {
-				j.SetParallelism(cfg.batchWorkers)
-			}
-		})
-	}
+	// Before Attach, so the estimators see the batched joins and install
+	// worker-sharded span hooks instead of per-tuple hooks. The worker
+	// count is capped at GOMAXPROCS here, once, for every way a count
+	// reaches a join — WithBatchExecution, Node.Parallel and the service's
+	// batch_workers — so outside input cannot size scan-worker pools.
+	procs := runtime.GOMAXPROCS(0)
+	batched := false
+	exec.Walk(n.op, func(op exec.Operator) {
+		j, ok := op.(*exec.HashJoin)
+		if !ok {
+			return
+		}
+		if cfg.batchWorkers > 0 {
+			j.SetParallelism(cfg.batchWorkers)
+		}
+		if j.Parallelism() > procs {
+			j.SetParallelism(procs)
+		}
+		batched = batched || j.Batched()
+	})
 	plan.EstimateCardinalities(n.op, e.cat)
-	q := &Query{root: n.op, cfg: cfg, labels: map[exec.Operator]string{}}
+	q := &Query{root: n.op, cfg: cfg, batched: batched, labels: map[exec.Operator]string{}}
 	if !cfg.noEstimators && (cfg.mode == Once || cfg.mode == Robust) {
 		q.att = core.Attach(n.op)
 	}
@@ -379,7 +480,7 @@ func (q *Query) Run(ctx context.Context, opts ...RunOption) (int64, error) {
 	}
 	cfg := newRunCfg(opts)
 	q.installObservability(&cfg)
-	n, err := execRun(ctx, q)
+	n, err := execRun(ctx, q, nil)
 	q.finishRun(&cfg)
 	return n, err
 }
@@ -458,50 +559,16 @@ func (q *Query) Rows() ([][]any, error) {
 }
 
 // RowsContext is Rows bound to ctx; cancellation and deadline behaviour
-// match Run.
+// match Run, and so does the execution engine: Rows drives the same root
+// driver as Run and only additionally builds the result rows.
 func (q *Query) RowsContext(ctx context.Context) ([][]any, error) {
 	if err := q.claim(); err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	exec.Bind(q.root, ctx)
-	out, err := q.collectRows()
-	q.monitor.Finish(err)
+	var out [][]any
+	_, err := execRun(ctx, q, func(row []any) { out = append(out, row) })
 	q.closeSubscribers(q.Report())
 	return out, err
-}
-
-func (q *Query) collectRows() ([][]any, error) {
-	if err := q.root.Open(); err != nil {
-		return nil, err
-	}
-	defer q.root.Close()
-	var out [][]any
-	for {
-		t, err := q.root.Next()
-		if err != nil {
-			return out, err
-		}
-		if t == nil {
-			return out, nil
-		}
-		row := make([]any, len(t))
-		for i, v := range t {
-			switch v.Kind {
-			case data.KindInt:
-				row[i] = v.I
-			case data.KindFloat:
-				row[i] = v.F
-			case data.KindString:
-				row[i] = v.S
-			default:
-				row[i] = nil
-			}
-		}
-		out = append(out, row)
-	}
 }
 
 // Columns returns the output column names.
