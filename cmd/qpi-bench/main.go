@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"qpi/internal/catalog"
+	"qpi/internal/core"
 	"qpi/internal/data"
 	"qpi/internal/disk"
 	"qpi/internal/exec"
@@ -140,6 +141,11 @@ type modeResult struct {
 	Batches     int64 `json:"batches,omitempty"`
 	SpillFiles  int64 `json:"spill_files,omitempty"`
 	SpillBytes  int64 `json:"spill_bytes,omitempty"`
+	// NumCPU and MaxProcs are set on the cells that carry their own
+	// environment instead of the document's: the estimator cells, which
+	// run at GOMAXPROCS = workers (see pinProcs).
+	NumCPU   int `json:"num_cpu,omitempty"`
+	MaxProcs int `json:"gomaxprocs,omitempty"`
 }
 
 // sweepResult is one (batch size, mode) cell of the batch-size sweep:
@@ -209,17 +215,43 @@ type benchMode struct {
 	// (the colpart mode): partitions stay lane-native, output rows are
 	// materialized one at a time — measured so its cost is pinned.
 	rowdrain bool
+	// estimators attaches the online estimators (core.Attach) before the
+	// run, as every user query has them: the -est cells time the batched
+	// tier's sharded estimator hooks, so the guard sees their overhead.
+	estimators bool
 }
 
 // benchModes is the measured sweep: the tuple path, the batched tier's
 // serial vectorized passes with the lane gather (columnar) and with the
-// row drain (colpart).
+// row drain (colpart), and the lane tier with estimators attached at one
+// and two workers.
 func benchModes() []benchMode {
 	return []benchMode{
 		{name: "tuple"},
 		{name: "columnar", workers: 1},
 		{name: "colpart", workers: 1, rowdrain: true},
+		{name: "columnar-est", workers: 1, estimators: true},
+		{name: "colmorsel-w2-est", workers: 2, estimators: true},
 	}
+}
+
+// pinProcs runs one measurement of m. The estimator modes carry their
+// own environment: they run at GOMAXPROCS = workers, so a 2-worker cell
+// never time-slices one core and never borrows idle ones, and the result
+// records NumCPU and that GOMAXPROCS. Other modes run at the process
+// setting, which the document header records.
+func pinProcs(m benchMode, measure func() (modeResult, error)) (modeResult, error) {
+	if !m.estimators {
+		return measure()
+	}
+	if runtime.NumCPU() < m.workers {
+		return modeResult{}, fmt.Errorf("%s: needs %d CPUs, this machine has %d", m.name, m.workers, runtime.NumCPU())
+	}
+	prev := runtime.GOMAXPROCS(m.workers)
+	defer runtime.GOMAXPROCS(prev)
+	res, err := measure()
+	res.NumCPU, res.MaxProcs = runtime.NumCPU(), m.workers
+	return res, err
 }
 
 // writeJoinBench measures the grace hash join's execution modes on the
@@ -246,7 +278,7 @@ func writeJoinBench(path, sweep, modes string, matrix bool) error {
 		if len(keep) > 0 && !keep[m.name] {
 			continue
 		}
-		best, err := bestJoinRun(m, runs)
+		best, err := pinProcs(m, func() (modeResult, error) { return bestJoinRun(m, runs) })
 		if err != nil {
 			return err
 		}
@@ -431,22 +463,25 @@ func guardJoinBench(path string, tol float64, matrix bool) error {
 	// to reconcile. (The tol tolerance — default 15%, see -tolerance —
 	// absorbs run-to-run scheduler noise on *matching* hardware only; it
 	// is far too tight to paper over a hardware or GOMAXPROCS change,
-	// which shifts wall time by integer factors.)
-	if base.CPU != runtime.GOARCH ||
-		(base.NumCPU != 0 && base.NumCPU != runtime.NumCPU()) ||
-		base.MaxProcs != runtime.GOMAXPROCS(0) {
-		return fmt.Errorf("guard: environment mismatch: baseline %s recorded with cpu=%s num_cpu=%d gomaxprocs=%d, "+
+	// which shifts wall time by integer factors.) A mismatch fails the
+	// guard; the cells that record their own environment are still
+	// checked against it, so the report shows every failure at once.
+	const runs = 7
+	var failures []string
+	envOK := base.CPU == runtime.GOARCH &&
+		(base.NumCPU == 0 || base.NumCPU == runtime.NumCPU()) &&
+		base.MaxProcs == runtime.GOMAXPROCS(0)
+	if !envOK {
+		failures = append(failures, fmt.Sprintf("environment mismatch: baseline %s recorded with cpu=%s num_cpu=%d gomaxprocs=%d, "+
 			"current cpu=%s num_cpu=%d gomaxprocs=%d; rerun with -gomaxprocs %d on matching hardware "+
 			"or regenerate the baseline with -json",
 			path, base.CPU, base.NumCPU, base.MaxProcs,
-			runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0), base.MaxProcs)
+			runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0), base.MaxProcs))
 	}
 	current := map[string]benchMode{}
 	for _, m := range benchModes() {
 		current[m.name] = m
 	}
-	const runs = 7
-	var failures []string
 	checked := 0
 	check := func(label string, gotNs, baseNs int64, gotAllocs, baseAllocs uint64) {
 		checked++
@@ -473,17 +508,27 @@ func guardJoinBench(path string, tol float64, matrix bool) error {
 			fmt.Printf("%-14s skipped (not in current sweep)\n", b.Mode)
 			continue
 		}
-		if err := refuseUnderCored(m.name, m.workers, m.workers > 1); err != nil {
-			fmt.Println(err)
+		if b.MaxProcs == 0 {
+			if !envOK {
+				continue
+			}
+			if err := refuseUnderCored(m.name, m.workers, m.workers > 1); err != nil {
+				fmt.Println(err)
+				continue
+			}
+		} else if base.CPU != runtime.GOARCH || b.NumCPU != runtime.NumCPU() || b.MaxProcs != m.workers {
+			failures = append(failures, fmt.Sprintf("%s: environment mismatch: cell recorded with num_cpu=%d gomaxprocs=%d, "+
+				"current num_cpu=%d and %d workers; regenerate the cell with -json -modes %s on matching hardware",
+				b.Mode, b.NumCPU, b.MaxProcs, runtime.NumCPU(), m.workers, b.Mode))
 			continue
 		}
-		got, err := bestJoinRun(m, runs)
+		got, err := pinProcs(m, func() (modeResult, error) { return bestJoinRun(m, runs) })
 		if err != nil {
 			return err
 		}
 		check(b.Mode, got.NsPerOp, b.NsPerOp, got.AllocsOp, b.AllocsOp)
 	}
-	if len(base.StringFilter) > 0 {
+	if len(base.StringFilter) > 0 && envOK {
 		tab := stringFilterTable()
 		for _, b := range base.StringFilter {
 			got, err := bestStringFilterRun(tab, strings.HasSuffix(b.Mode, "-vec"), runs)
@@ -493,7 +538,7 @@ func guardJoinBench(path string, tol float64, matrix bool) error {
 			check(b.Mode, got.NsPerOp, b.NsPerOp, got.AllocsOp, b.AllocsOp)
 		}
 	}
-	if matrix {
+	if matrix && envOK {
 		for _, b := range base.SFMatrix {
 			label := fmt.Sprintf("sf%g/%s", b.SF, b.Mode)
 			if err := refuseUnderCored(label, b.Workers, b.Workers > 1); err != nil {
@@ -507,7 +552,7 @@ func guardJoinBench(path string, tol float64, matrix bool) error {
 			check(label, got.NsPerOp, b.NsPerOp, got.AllocsOp, b.AllocsOp)
 		}
 	}
-	if checked == 0 {
+	if checked == 0 && envOK {
 		return fmt.Errorf("guard: no baseline mode matches the current sweep; regenerate %s with -json", path)
 	}
 	if len(failures) > 0 {
@@ -581,6 +626,9 @@ func runJoinOn(orders, lineitem *storage.Table, cat *catalog.Catalog, m benchMod
 	var err error
 	var partitionDone time.Time
 	j.OnProbeEnd = func() { partitionDone = time.Now() }
+	if m.estimators {
+		core.Attach(j)
+	}
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -157,6 +157,13 @@ type PipelineEstimator struct {
 	colShardInstalled bool
 	probeShards       []probeShard
 	afterConverge     []func()
+	// laneProbe is the lane probe observer's plan, nil when the chain
+	// needs the row fallback. buildRowFallbacks and probeRowFallbacks
+	// count the batches the row fallbacks observed, summed at the
+	// barriers (tests assert which path ran).
+	laneProbe         *laneProbe
+	buildRowFallbacks int64
+	probeRowFallbacks int64
 
 	// Observability (see internal/obs): the tracer receives one
 	// EstimateRefined event per level at every publish boundary plus

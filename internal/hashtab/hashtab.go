@@ -168,6 +168,20 @@ func (m *I64Map[V]) Reset() {
 	m.sentinelVal = zero
 }
 
+// Reserve grows the table, if needed, so that it holds n entries in
+// total without growing again. Callers that copy another table's entries
+// in slot order must reserve first. Both tables use the same hash, so
+// when the destination has fewer slots than the source, the second half
+// of the stream lands on runs the first half already filled. Each insert
+// then probes along a growing cluster, and the copy turns quadratic.
+// Into a table at least as large as the source the same stream lands
+// spread out.
+func (m *I64Map[V]) Reserve(n int) {
+	if c := capFor(n); c > len(m.keys) {
+		m.grow(c)
+	}
+}
+
 // Slots returns the allocated slot count (capacity), for memory
 // accounting.
 func (m *I64Map[V]) Slots() int { return len(m.keys) }

@@ -157,6 +157,43 @@ func TestI64MapZeroValue(t *testing.T) {
 	}
 }
 
+// TestI64MapReserveNeverGrows: after Reserve(n), inserting n distinct
+// keys never grows the table, at the load-factor boundaries too. Keys
+// already present survive the reserve, and reserving less than the
+// table holds is a no-op.
+func TestI64MapReserveNeverGrows(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 7, 8, 448, 449, 896, 897, 5000} {
+		m := NewI64Map[int64](0)
+		m.Reserve(n)
+		slots := m.Slots()
+		for i := 0; i < n; i++ {
+			*m.Ref(int64(i)*7919 - int64(r.Intn(3))*1_000_000_007)++
+			if m.Slots() != slots {
+				t.Fatalf("n=%d: table grew from %d to %d slots at insert %d", n, slots, m.Slots(), i+1)
+			}
+		}
+		m.Reserve(n / 2)
+		if m.Slots() != slots {
+			t.Fatalf("n=%d: smaller reserve changed slots %d -> %d", n, slots, m.Slots())
+		}
+	}
+	m := NewI64Map[int64](0)
+	for k := int64(0); k < 100; k++ {
+		m.Set(k, k+1)
+	}
+	m.Set(emptyKey, -1)
+	m.Reserve(10_000)
+	for k := int64(0); k < 100; k++ {
+		if v, ok := m.Get(k); !ok || v != k+1 {
+			t.Fatalf("key %d lost across Reserve: (%d,%v)", k, v, ok)
+		}
+	}
+	if v, ok := m.Get(emptyKey); !ok || v != -1 || m.Len() != 101 {
+		t.Fatalf("sentinel or length wrong after Reserve: (%d,%v) len %d", v, ok, m.Len())
+	}
+}
+
 // TestI64MapConcurrentReads: a frozen table may be read from many
 // goroutines (the parallel join phase probes per-partition tables that
 // are private per worker, but histogram snapshots are read cross-

@@ -111,7 +111,7 @@ type Reoptimizer struct {
 	ctx           context.Context
 	tr            *obs.Tracer
 	sketches      *core.SketchSet
-	onRestructure func(root exec.Operator)
+	onRestructure func(root exec.Operator, mutate func())
 	root          exec.Operator
 
 	requested atomic.Bool
@@ -149,10 +149,15 @@ func (r *Reoptimizer) SetTracer(tr *obs.Tracer) { r.tr = tr }
 // joins get their sketch hooks re-installed (ResetObservers wipes them).
 func (r *Reoptimizer) SetSketches(s *core.SketchSet) { r.sketches = s }
 
-// SetOnRestructure installs a callback fired (on the executor
-// goroutine) after every committed restructuring — the progress monitor
-// refreshes its pipeline decomposition there.
-func (r *Reoptimizer) SetOnRestructure(f func(root exec.Operator)) { r.onRestructure = f }
+// SetOnRestructure installs the callback every committed restructuring
+// runs through, on the executor goroutine. f must call mutate, which
+// relinks the plan, exactly once; the progress monitor (Monitor.Refresh)
+// runs it and its own re-decomposition under one write lock, so
+// goroutines walking the plan under its read lock never see a half-made
+// relink. Without a callback the mutation runs directly.
+func (r *Reoptimizer) SetOnRestructure(f func(root exec.Operator, mutate func())) {
+	r.onRestructure = f
+}
 
 // RequestReopt asks for an evaluation at the next pipeline boundary.
 // Safe from any goroutine; between boundaries it is a single atomic
@@ -377,41 +382,48 @@ func (r *Reoptimizer) commit(j *exec.HashJoin, pe *core.PipelineEstimator,
 	// fresh estimators below. Safe exactly because nothing under (or
 	// at) the anchor has observed anything yet — the anchor roots its
 	// chain and its own partition pass has not begun.
-	for _, l := range pe.Links() {
-		if hj, ok := l.Join.(*exec.HashJoin); ok {
-			hj.ResetObservers()
+	mutate := func() {
+		for _, l := range pe.Links() {
+			if hj, ok := l.Join.(*exec.HashJoin); ok {
+				hj.ResetObservers()
+			}
 		}
-	}
 
-	stream := c
-	for i := len(order) - 1; i >= 0; i-- {
-		s := order[i].j
-		if i == len(order)-1 && swap {
-			s.Relink(c, relinks[i])
-			s.SwapSides()
-		} else {
-			s.Relink(stream, relinks[i])
+		stream := c
+		for i := len(order) - 1; i >= 0; i-- {
+			s := order[i].j
+			if i == len(order)-1 && swap {
+				s.Relink(c, relinks[i])
+				s.SwapSides()
+			} else {
+				s.Relink(stream, relinks[i])
+			}
+			stream = s
 		}
-		stream = s
-	}
-	reorder := exec.NewReorder(stream, perm)
-	j.ReplaceProbe(reorder)
+		reorder := exec.NewReorder(stream, perm)
+		j.ReplaceProbe(reorder)
 
-	newTop := order[0].j
-	r.att.ReattachChain(pe, j, newTop)
-	for _, npe := range []*core.PipelineEstimator{r.att.ChainOf[j], r.att.ChainOf[newTop]} {
-		if npe != nil {
-			r.hookConverged(npe)
+		newTop := order[0].j
+		r.att.ReattachChain(pe, j, newTop)
+		for _, npe := range []*core.PipelineEstimator{r.att.ChainOf[j], r.att.ChainOf[newTop]} {
+			if npe != nil {
+				r.hookConverged(npe)
+			}
 		}
-	}
-	if r.sketches != nil {
-		r.sketches.Rewire(j)
-		for _, o := range order {
-			r.sketches.Rewire(o.j)
+		if r.sketches != nil {
+			r.sketches.Rewire(j)
+			for _, o := range order {
+				r.sketches.Rewire(o.j)
+			}
 		}
+		exec.Bind(reorder, r.ctx)
+		exec.BindTracer(reorder, r.tr)
 	}
-	exec.Bind(reorder, r.ctx)
-	exec.BindTracer(reorder, r.tr)
+	if r.onRestructure != nil {
+		r.onRestructure(r.root, mutate)
+	} else {
+		mutate()
+	}
 
 	change := PlanChange{
 		Trigger:      trigger,
@@ -430,9 +442,6 @@ func (r *Reoptimizer) commit(j *exec.HashJoin, pe *core.PipelineEstimator,
 		r.tr.Mark(j.Name(), "reopt", int64(len(order)), 0)
 		r.tr.Transition(j.Name(), "reopt",
 			fmt.Sprintf("%v", change.OldOrder), fmt.Sprintf("%v", change.NewOrder), 0)
-	}
-	if r.onRestructure != nil {
-		r.onRestructure(r.root)
 	}
 }
 

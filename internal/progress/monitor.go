@@ -149,16 +149,23 @@ func (m *Monitor) Pipelines() []*plan.Pipeline {
 	return m.pipelines
 }
 
-// Refresh re-decomposes the (possibly restructured) plan into pipelines
-// and extends the optimizer-estimate map to operators created since
-// construction (a Reorder wrapper, re-linked joins). The re-optimizer
-// calls it from its post-restructure callback, on the executor
-// goroutine, while snapshot goroutines keep reading — hence the lock.
-// Lifecycle trace flags reset: pipelines are renumbered by the new
-// decomposition, so earlier one-shot marks no longer correspond.
-func (m *Monitor) Refresh(root exec.Operator) {
+// Refresh runs mutate (when non-nil), then re-decomposes the (possibly
+// restructured) plan into pipelines and extends the optimizer-estimate
+// map to operators created since construction (a Reorder wrapper,
+// re-linked joins). It is the re-optimizer's restructure callback
+// (plan.Reoptimizer.SetOnRestructure), called on the executor goroutine
+// with the relink as mutate, while snapshot goroutines keep walking the
+// plan under the read lock: the relink and the re-decomposition happen
+// under one write lock, so a snapshot sees the old plan or the new one,
+// never a half-relinked one. Lifecycle trace flags reset: pipelines are
+// renumbered by the new decomposition, so earlier one-shot marks no
+// longer correspond.
+func (m *Monitor) Refresh(root exec.Operator, mutate func()) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if mutate != nil {
+		mutate()
+	}
 	if root != nil {
 		m.root = root
 	}
