@@ -141,11 +141,6 @@ type modeResult struct {
 	Batches     int64 `json:"batches,omitempty"`
 	SpillFiles  int64 `json:"spill_files,omitempty"`
 	SpillBytes  int64 `json:"spill_bytes,omitempty"`
-	// NumCPU and MaxProcs are set on the cells that carry their own
-	// environment instead of the document's: the estimator cells, which
-	// run at GOMAXPROCS = workers (see pinProcs).
-	NumCPU   int `json:"num_cpu,omitempty"`
-	MaxProcs int `json:"gomaxprocs,omitempty"`
 }
 
 // sweepResult is one (batch size, mode) cell of the batch-size sweep:
@@ -216,15 +211,18 @@ type benchMode struct {
 	// materialized one at a time — measured so its cost is pinned.
 	rowdrain bool
 	// estimators attaches the online estimators (core.Attach) before the
-	// run, as every user query has them: the -est cells time the batched
-	// tier's sharded estimator hooks, so the guard sees their overhead.
+	// run, as every user query has them: the -est modes time the batched
+	// tier's sharded estimator hooks against their estimator-off cells.
+	// They run only when named in -modes, so a default -json run does not
+	// put them under the guard: their best-of-7 spread between runs is
+	// wider than its 15% tolerance.
 	estimators bool
 }
 
 // benchModes is the measured sweep: the tuple path, the batched tier's
 // serial vectorized passes with the lane gather (columnar) and with the
-// row drain (colpart), and the lane tier with estimators attached at one
-// and two workers.
+// row drain (colpart), and, when named in -modes, the lane tier with
+// estimators attached at one and two workers.
 func benchModes() []benchMode {
 	return []benchMode{
 		{name: "tuple"},
@@ -235,25 +233,6 @@ func benchModes() []benchMode {
 	}
 }
 
-// pinProcs runs one measurement of m. The estimator modes carry their
-// own environment: they run at GOMAXPROCS = workers, so a 2-worker cell
-// never time-slices one core and never borrows idle ones, and the result
-// records NumCPU and that GOMAXPROCS. Other modes run at the process
-// setting, which the document header records.
-func pinProcs(m benchMode, measure func() (modeResult, error)) (modeResult, error) {
-	if !m.estimators {
-		return measure()
-	}
-	if runtime.NumCPU() < m.workers {
-		return modeResult{}, fmt.Errorf("%s: needs %d CPUs, this machine has %d", m.name, m.workers, runtime.NumCPU())
-	}
-	prev := runtime.GOMAXPROCS(m.workers)
-	defer runtime.GOMAXPROCS(prev)
-	res, err := measure()
-	res.NumCPU, res.MaxProcs = runtime.NumCPU(), m.workers
-	return res, err
-}
-
 // writeJoinBench measures the grace hash join's execution modes on the
 // BenchmarkJoinBaseline workload (TPC-H SF 0.01 orders ⋈ lineitem) and
 // writes the results as JSON. Best-of-N timing, allocation deltas from
@@ -261,7 +240,7 @@ func pinProcs(m benchMode, measure func() (modeResult, error)) (modeResult, erro
 func writeJoinBench(path, sweep, modes string, matrix bool) error {
 	const runs = 7
 	report := joinBenchReport{
-		Benchmark:    "grace hash join, TPC-H SF=0.01 orders ⋈ lineitem (no estimators)",
+		Benchmark:    "grace hash join, TPC-H SF=0.01 orders ⋈ lineitem (estimators attached only in the -est modes)",
 		CPU:          runtime.GOARCH,
 		NumCPU:       runtime.NumCPU(),
 		MaxProcs:     runtime.GOMAXPROCS(0),
@@ -275,10 +254,14 @@ func writeJoinBench(path, sweep, modes string, matrix bool) error {
 		}
 	}
 	for _, m := range benchModes() {
-		if len(keep) > 0 && !keep[m.name] {
+		if len(keep) > 0 && !keep[m.name] || len(keep) == 0 && m.estimators {
 			continue
 		}
-		best, err := pinProcs(m, func() (modeResult, error) { return bestJoinRun(m, runs) })
+		if err := refuseUnderCored(m.name, m.workers, m.workers > 1); err != nil {
+			fmt.Println(err)
+			continue
+		}
+		best, err := bestJoinRun(m, runs)
 		if err != nil {
 			return err
 		}
@@ -463,25 +446,22 @@ func guardJoinBench(path string, tol float64, matrix bool) error {
 	// to reconcile. (The tol tolerance — default 15%, see -tolerance —
 	// absorbs run-to-run scheduler noise on *matching* hardware only; it
 	// is far too tight to paper over a hardware or GOMAXPROCS change,
-	// which shifts wall time by integer factors.) A mismatch fails the
-	// guard; the cells that record their own environment are still
-	// checked against it, so the report shows every failure at once.
-	const runs = 7
-	var failures []string
-	envOK := base.CPU == runtime.GOARCH &&
-		(base.NumCPU == 0 || base.NumCPU == runtime.NumCPU()) &&
-		base.MaxProcs == runtime.GOMAXPROCS(0)
-	if !envOK {
-		failures = append(failures, fmt.Sprintf("environment mismatch: baseline %s recorded with cpu=%s num_cpu=%d gomaxprocs=%d, "+
+	// which shifts wall time by integer factors.)
+	if base.CPU != runtime.GOARCH ||
+		(base.NumCPU != 0 && base.NumCPU != runtime.NumCPU()) ||
+		base.MaxProcs != runtime.GOMAXPROCS(0) {
+		return fmt.Errorf("guard: environment mismatch: baseline %s recorded with cpu=%s num_cpu=%d gomaxprocs=%d, "+
 			"current cpu=%s num_cpu=%d gomaxprocs=%d; rerun with -gomaxprocs %d on matching hardware "+
 			"or regenerate the baseline with -json",
 			path, base.CPU, base.NumCPU, base.MaxProcs,
-			runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0), base.MaxProcs))
+			runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0), base.MaxProcs)
 	}
 	current := map[string]benchMode{}
 	for _, m := range benchModes() {
 		current[m.name] = m
 	}
+	const runs = 7
+	var failures []string
 	checked := 0
 	check := func(label string, gotNs, baseNs int64, gotAllocs, baseAllocs uint64) {
 		checked++
@@ -508,27 +488,17 @@ func guardJoinBench(path string, tol float64, matrix bool) error {
 			fmt.Printf("%-14s skipped (not in current sweep)\n", b.Mode)
 			continue
 		}
-		if b.MaxProcs == 0 {
-			if !envOK {
-				continue
-			}
-			if err := refuseUnderCored(m.name, m.workers, m.workers > 1); err != nil {
-				fmt.Println(err)
-				continue
-			}
-		} else if base.CPU != runtime.GOARCH || b.NumCPU != runtime.NumCPU() || b.MaxProcs != m.workers {
-			failures = append(failures, fmt.Sprintf("%s: environment mismatch: cell recorded with num_cpu=%d gomaxprocs=%d, "+
-				"current num_cpu=%d and %d workers; regenerate the cell with -json -modes %s on matching hardware",
-				b.Mode, b.NumCPU, b.MaxProcs, runtime.NumCPU(), m.workers, b.Mode))
+		if err := refuseUnderCored(m.name, m.workers, m.workers > 1); err != nil {
+			fmt.Println(err)
 			continue
 		}
-		got, err := pinProcs(m, func() (modeResult, error) { return bestJoinRun(m, runs) })
+		got, err := bestJoinRun(m, runs)
 		if err != nil {
 			return err
 		}
 		check(b.Mode, got.NsPerOp, b.NsPerOp, got.AllocsOp, b.AllocsOp)
 	}
-	if len(base.StringFilter) > 0 && envOK {
+	if len(base.StringFilter) > 0 {
 		tab := stringFilterTable()
 		for _, b := range base.StringFilter {
 			got, err := bestStringFilterRun(tab, strings.HasSuffix(b.Mode, "-vec"), runs)
@@ -538,7 +508,7 @@ func guardJoinBench(path string, tol float64, matrix bool) error {
 			check(b.Mode, got.NsPerOp, b.NsPerOp, got.AllocsOp, b.AllocsOp)
 		}
 	}
-	if matrix && envOK {
+	if matrix {
 		for _, b := range base.SFMatrix {
 			label := fmt.Sprintf("sf%g/%s", b.SF, b.Mode)
 			if err := refuseUnderCored(label, b.Workers, b.Workers > 1); err != nil {
@@ -552,7 +522,7 @@ func guardJoinBench(path string, tol float64, matrix bool) error {
 			check(label, got.NsPerOp, b.NsPerOp, got.AllocsOp, b.AllocsOp)
 		}
 	}
-	if checked == 0 && envOK {
+	if checked == 0 {
 		return fmt.Errorf("guard: no baseline mode matches the current sweep; regenerate %s with -json", path)
 	}
 	if len(failures) > 0 {

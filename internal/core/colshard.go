@@ -52,11 +52,6 @@ import (
 // publish only at barriers, on the coordinator — Stats writes never
 // happen on workers.
 
-// lineWords is one 64-byte cache line of 8-byte words. Per-worker state
-// written on every row is padded by it on both sides, so two workers
-// never write to one cache line.
-const lineWords = 8
-
 // probeShard is one worker's private share of the probe-pass moments,
 // plus the lane observer's scratch.
 type probeShard struct {
@@ -70,13 +65,6 @@ type probeShard struct {
 	vals  []float64
 	// rowFallbacks counts the batches observed through the row path.
 	rowFallbacks int64
-}
-
-// paddedHist is a worker-private histogram shard kept off the cache
-// lines of other workers' shards (its total is written on every row).
-type paddedHist struct {
-	FreqHistogram
-	_ [lineWords]int64
 }
 
 // laneLookup is one histogram read of the lane observers: the column
@@ -263,10 +251,9 @@ func (p *PipelineEstimator) installColShardHooks() {
 		lanes := make([][][]*data.ColVec, workers)
 		fallbacks := make([]int64, workers)
 		for w := range shards {
-			block := make([]paddedHist, len(updates))
 			shards[w] = make([]*FreqHistogram, len(updates))
-			for u := range block {
-				shards[w][u] = &block[u].FreqHistogram
+			for u := range shards[w] {
+				shards[w][u] = NewFreqHistogram()
 			}
 			if lb != nil {
 				lanes[w] = make([][]*data.ColVec, len(updates))
@@ -302,35 +289,28 @@ func (p *PipelineEstimator) installColShardHooks() {
 		})
 	}
 	p.laneProbe = p.planLaneProbe()
-	m, nl := p.m, 0
+	nl := 0
 	if p.laneProbe != nil {
 		nl = len(p.laneProbe.lookups)
 	}
 	p.probeShards = make([]probeShard, p.links[p.m-1].Workers)
 	for i := range p.probeShards {
-		// One padded block per worker: the moments are written per row.
-		buf := make([]float64, lineWords+2*m+nl+lineWords)[lineWords:]
 		p.probeShards[i] = probeShard{
-			sums:   buf[:m:m],
-			sumSqs: buf[m : 2*m : 2*m],
-			vals:   buf[2*m : 2*m+nl : 2*m+nl],
+			sums:   make([]float64, p.m),
+			sumSqs: make([]float64, p.m),
+			vals:   make([]float64, nl),
 			lanes:  make([]*data.ColVec, nl),
 		}
 	}
 }
 
-// mergeShard moves a worker shard into a shared histogram and empties
-// the shard. An exact destination that is still empty and tracks no
-// profile adopts the shard's tables outright, which equals the copy
-// because shards never hold zero counts; a filled one takes a pre-sized
-// Merge. Approximate destinations take the AddN loop.
+// mergeShard adds a worker shard into a shared histogram and empties
+// the shard. An exact destination takes the pre-sized Merge, an
+// approximate one the AddN loop.
 func mergeShard(dst Histogram, src *FreqHistogram) {
-	switch fh, ok := dst.(*FreqHistogram); {
-	case ok && fh.Total() == 0 && fh.Distinct() == 0 && fh.prof == nil:
-		*fh = *src
-	case ok:
+	if fh, ok := dst.(*FreqHistogram); ok {
 		fh.Merge(src)
-	default:
+	} else {
 		src.Each(func(v data.Value, n int64) bool {
 			dst.AddN(v, n)
 			return true

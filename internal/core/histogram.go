@@ -87,17 +87,22 @@ func (h *FreqHistogram) AddN(v data.Value, w int64) {
 	if v.IsNull() || w == 0 {
 		return
 	}
+	var old, new int64
 	if v.Kind == data.KindInt {
-		h.AddIntN(v.I, w)
-		return
+		p := h.ints.Ref(v.I)
+		old = *p
+		*p += w
+		new = *p
+	} else {
+		if h.other == nil {
+			h.other = make(map[data.Value]int64)
+		}
+		old = h.other[v]
+		h.other[v] = old + w
+		new = old + w
 	}
-	if h.other == nil {
-		h.other = make(map[data.Value]int64)
-	}
-	old := h.other[v]
-	h.other[v] = old + w
 	h.total += w
-	h.profShift(old, old+w)
+	h.profShift(old, new)
 }
 
 // AddIntN counts w observations of an integer key without boxing it in a

@@ -157,13 +157,6 @@ type PipelineEstimator struct {
 	colShardInstalled bool
 	probeShards       []probeShard
 	afterConverge     []func()
-	// laneProbe is the lane probe observer's plan, nil when the chain
-	// needs the row fallback. buildRowFallbacks and probeRowFallbacks
-	// count the batches the row fallbacks observed, summed at the
-	// barriers (tests assert which path ran).
-	laneProbe         *laneProbe
-	buildRowFallbacks int64
-	probeRowFallbacks int64
 
 	// Observability (see internal/obs): the tracer receives one
 	// EstimateRefined event per level at every publish boundary plus
@@ -176,6 +169,15 @@ type PipelineEstimator struct {
 	probesPerTuple int64 // histogram Count() calls per probe tuple
 	recomputes     atomic.Int64
 	histProbes     atomic.Int64
+
+	// Batched-tier lane observer state (see colshard.go). laneProbe is
+	// the lane probe observer's plan, nil when the chain needs the row
+	// fallback. buildRowFallbacks and probeRowFallbacks count the batches
+	// the row fallbacks observed, summed at the barriers (tests assert
+	// which path ran).
+	laneProbe         *laneProbe
+	buildRowFallbacks int64
+	probeRowFallbacks int64
 }
 
 // keySource locates the origin of a join's probe key. For multi-column
